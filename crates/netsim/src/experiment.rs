@@ -82,6 +82,12 @@ pub fn source_rate_function(trace: &VideoTrace, mode: SourceMode) -> StepFunctio
 /// *independent, stationary* VBR sources from one trace. (Without the
 /// wrap, every source's scene changes would line up in wall-clock time
 /// and the "statistical" in statistical multiplexing would be gone.)
+///
+/// Runs in O(P log P + E) for P folded pieces and E (piece, window)
+/// incidences — E ≈ P when the period covers the video — and returns
+/// the same bits as the quadratic [`reference::cyclic_wrap`]: each piece
+/// covers one contiguous run of output windows, and every window sums
+/// the same pieces in the same (folded) order.
 pub fn cyclic_wrap(f: &StepFunction, offset: f64, period: f64) -> StepFunction {
     assert!(period > 0.0, "period must be positive");
     // Collect folded sub-pieces in [0, period).
@@ -95,16 +101,18 @@ pub fn cyclic_wrap(f: &StepFunction, offset: f64, period: f64) -> StepFunction {
         let shift = (s / period).floor() * period;
         s -= shift;
         let e = e - shift;
-        // Split across wrap boundaries.
+        // Split across wrap boundaries. `k` counts laps rather than being
+        // re-derived from `a`: `(k + 1)·period / period` can round below
+        // `k + 1`, which would stall the split forever.
         let mut a = s;
+        let mut k = (s / period).floor();
         while a < e - 1e-15 {
-            let k = (a / period).floor();
             let seg_end = e.min((k + 1.0) * period);
             folded.push((a - k * period, seg_end - k * period, v));
             a = seg_end;
+            k += 1.0;
         }
     }
-    // Sweep: sum overlapping contributions.
     let mut cuts: Vec<f64> = vec![0.0, period];
     for &(a, b, _) in &folded {
         cuts.push(a);
@@ -112,20 +120,102 @@ pub fn cyclic_wrap(f: &StepFunction, offset: f64, period: f64) -> StepFunction {
     }
     cuts.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
     cuts.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
-    let mut breaks = Vec::with_capacity(cuts.len());
-    let mut values = Vec::with_capacity(cuts.len());
-    breaks.push(cuts[0]);
-    for w in cuts.windows(2) {
-        let mid = 0.5 * (w[0] + w[1]);
-        let v: f64 = folded
-            .iter()
-            .filter(|&&(a, b, _)| a <= mid && mid < b)
-            .map(|&(_, _, v)| v)
-            .sum();
-        values.push(v);
-        breaks.push(w[1]);
+    // Window midpoints are monotone in the sorted cuts, so the windows a
+    // piece is active on (`a <= mid < b`) are one run `lo..hi`.
+    let mids: Vec<f64> = cuts.windows(2).map(|w| 0.5 * (w[0] + w[1])).collect();
+    let runs: Vec<(usize, usize)> = folded
+        .iter()
+        .map(|&(a, b, _)| {
+            (
+                mids.partition_point(|&m| m < a),
+                mids.partition_point(|&m| m < b),
+            )
+        })
+        .collect();
+    // Bucket the piece values by window (CSR: window `w` owns
+    // `row[w]..row[w + 1]`), walking pieces in folded order so each
+    // bucket keeps that order and its sum rounds exactly as the oracle's.
+    let mut row = vec![0usize; mids.len() + 1];
+    for &(lo, hi) in &runs {
+        for w in lo..hi {
+            row[w + 1] += 1;
+        }
     }
-    StepFunction::new(breaks, values)
+    for w in 0..mids.len() {
+        row[w + 1] += row[w];
+    }
+    let mut fill = row.clone();
+    let mut bucket = vec![0.0f64; row[mids.len()]];
+    for (&(lo, hi), &(_, _, v)) in runs.iter().zip(&folded) {
+        for w in lo..hi {
+            bucket[fill[w]] = v;
+            fill[w] += 1;
+        }
+    }
+    let values: Vec<f64> = row
+        .windows(2)
+        .map(|r| bucket[r[0]..r[1]].iter().copied().sum::<f64>())
+        .collect();
+    StepFunction::new(cuts, values)
+}
+
+/// The frozen quadratic [`cyclic_wrap`], kept as the oracle for the
+/// tests (the same pattern as `smooth_core::reference` and
+/// `mux::reference`): each output window rescans every folded piece, so
+/// one wrap costs O(P²). Its only change since it was retired is the
+/// lap counter in the fold, without which a piece spanning two or more
+/// wrap boundaries could loop forever.
+pub mod reference {
+    use smooth_metrics::StepFunction;
+
+    /// Wraps `f` cyclically into `[0, period)` with a phase shift of
+    /// `offset` seconds by per-window rescan.
+    pub fn cyclic_wrap(f: &StepFunction, offset: f64, period: f64) -> StepFunction {
+        assert!(period > 0.0, "period must be positive");
+        // Collect folded sub-pieces in [0, period).
+        let mut folded: Vec<(f64, f64, f64)> = Vec::new();
+        for (s, e, v) in f.pieces() {
+            if e <= s || v == 0.0 {
+                continue;
+            }
+            let (mut s, e) = (s + offset, e + offset);
+            // Normalize the start into [0, period).
+            let shift = (s / period).floor() * period;
+            s -= shift;
+            let e = e - shift;
+            // Split across wrap boundaries.
+            let mut a = s;
+            let mut k = (s / period).floor();
+            while a < e - 1e-15 {
+                let seg_end = e.min((k + 1.0) * period);
+                folded.push((a - k * period, seg_end - k * period, v));
+                a = seg_end;
+                k += 1.0;
+            }
+        }
+        // Sweep: sum overlapping contributions.
+        let mut cuts: Vec<f64> = vec![0.0, period];
+        for &(a, b, _) in &folded {
+            cuts.push(a);
+            cuts.push(b);
+        }
+        cuts.sort_by(|a, b| a.partial_cmp(b).expect("finite"));
+        cuts.dedup_by(|a, b| (*a - *b).abs() < 1e-12);
+        let mut breaks = Vec::with_capacity(cuts.len());
+        let mut values = Vec::with_capacity(cuts.len());
+        breaks.push(cuts[0]);
+        for w in cuts.windows(2) {
+            let mid = 0.5 * (w[0] + w[1]);
+            let v: f64 = folded
+                .iter()
+                .filter(|&&(a, b, _)| a <= mid && mid < b)
+                .map(|&(_, _, v)| v)
+                .sum();
+            values.push(v);
+            breaks.push(w[1]);
+        }
+        StepFunction::new(breaks, values)
+    }
 }
 
 /// Runs one multiplexing experiment with the default worker count

@@ -40,14 +40,18 @@ proptest! {
 
     /// Folding conserves mass for any offset (including offsets beyond
     /// one period) and any period — even periods shorter than the video,
-    /// where pieces overlap themselves after wrapping.
+    /// where pieces overlap themselves after wrapping, and periods well
+    /// below one piece's length, where a single piece crosses several
+    /// wrap boundaries.
     #[test]
     fn wrap_conserves_mass_and_stays_in_window(
         source in arb_source(),
         offset in 0.0f64..12.0,
-        period_scale in 0.3f64..3.0,
+        // Log-uniform period scale over [0.005, 3]: most cases fold the
+        // source more than once.
+        log_period_scale in -5.3f64..1.1,
     ) {
-        let period = source.domain_end() * period_scale;
+        let period = source.domain_end() * log_period_scale.exp();
         prop_assume!(period > 1e-6);
         let g = cyclic_wrap(&source, offset, period);
         let m0 = mass(&source);
