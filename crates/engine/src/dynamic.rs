@@ -142,14 +142,18 @@ const PREFETCH_DUE: usize = 4;
 /// decision is computed, never what is decided.
 pub const ARRIVAL_BATCH: u64 = 16;
 
-/// How much trace time [`DynamicEngine::run_trace_fused`] lets rate
-/// events buffer in the mux lanes between [`LiveMux::ingest`] passes:
-/// half a simulated second. Each ingest pays an O(live sessions) fence
-/// scan, so ingesting at every event tick would swamp a churny trace;
-/// half a second keeps the buffered-event footprint modest while
-/// holding the scan cost to a few passes per simulated second. The
-/// cadence is driven by trace time, never by wall time or thread
-/// count, so fused digests stay deterministic.
+/// The trace replay's one cadence: half a simulated second. A
+/// [`DynamicEngine::run_trace`] replay drains the fleet — one fan-out
+/// over the shards — only when the next event tick lies more than a
+/// span past the drained position, and
+/// [`DynamicEngine::run_trace_fused`] ingests the buffered rate events
+/// into [`LiveMux`] after each such drain. A 2-thread fan-out costs a
+/// thread spawn and join, and an ingest pays an O(live sessions) fence
+/// scan, so doing either at every event tick would swamp a churny
+/// trace; half a second keeps the buffered-event footprint and each
+/// leave's catch-up modest. The cadence is driven by trace time, never
+/// by wall time or thread count, and no digest or mux bit depends on
+/// it (see [`DynamicEngine::run_trace`]).
 pub const MUX_INGEST_SPAN_TICKS: u64 = TICKS_PER_SEC / 2;
 
 /// One session's complete smoother state, self-contained: everything
@@ -282,6 +286,8 @@ struct DynShard {
     due: Vec<u64>,
     /// Widened staging tail (see the lockstep `Shard`).
     stage: Vec<u64>,
+    /// One visit's decisions, gathered for the fused mux feed.
+    visit: Vec<PictureSchedule>,
     lanes: BlockLanes,
     decisions: u64,
     live: usize,
@@ -299,6 +305,7 @@ impl DynShard {
             wheel: TimingWheel::new(),
             due: Vec::new(),
             stage: Vec::new(),
+            visit: Vec::new(),
             lanes: BlockLanes::default(),
             decisions: 0,
             live: 0,
@@ -431,9 +438,10 @@ impl DynShard {
     /// own `need`, never at everything pushed, so feeding a batch of
     /// arrivals decides exactly what feeding them one visit apiece would
     /// (the property the lockstep engine's batch path already pins).
-    /// Every decision is also offered to `sink` (the lockstep shard's
-    /// fused-mux hook; pass a no-op closure when nothing listens).
-    /// Returns the decisions made.
+    /// With a fused aggregator, the visit's decisions are gathered in
+    /// order and handed to the session's mux lane in one
+    /// [`LiveMux::feed_visit`] — one lane-block lock per visit, not one
+    /// per decision. Returns the decisions made.
     fn step_slot<S: SizeSource>(
         &mut self,
         j: usize,
@@ -441,7 +449,7 @@ impl DynShard {
         source: &S,
         pushes: u64,
         ended: bool,
-        sink: &mut impl FnMut(u64, &PictureSchedule),
+        mux: Option<&LiveMux>,
     ) -> u64 {
         let h = &self.hot[j];
         let info = &classes[h.class_of as usize];
@@ -465,6 +473,7 @@ impl DynShard {
         let mut len = h.len as usize;
         let mut digest = h.digest;
         let mut made = 0u64;
+        self.visit.clear();
 
         self.stage.clear();
         self.stage
@@ -524,7 +533,9 @@ impl DynShard {
                 digest = fnv(digest, decision.start.to_bits());
                 digest = fnv(digest, decision.rate.to_bits());
                 digest = fnv(digest, decision.depart.to_bits());
-                sink(sid, &decision);
+                if mux.is_some() {
+                    self.visit.push(decision);
+                }
                 made += 1;
             }
 
@@ -551,13 +562,17 @@ impl DynShard {
             h.prev_rate = r;
         }
         h.digest = digest;
+        if let Some(m) = mux {
+            m.feed_visit(sid, &self.visit);
+        }
         made
     }
 
     /// Ends slot `j`'s stream: feeds its not-yet-fed arrivals up to and
     /// including tick `until` (batched visits leave up to `batch − 1`
-    /// outstanding), drains the tail decisions, records the final
-    /// digest, and frees the slot. Returns the digest.
+    /// outstanding, and a trace replay's span drains up to a span),
+    /// drains the tail decisions, records the final digest, and frees
+    /// the slot. Returns the digest.
     fn retire<S: SizeSource>(
         &mut self,
         j: usize,
@@ -565,7 +580,7 @@ impl DynShard {
         periods: &[u64],
         source: &S,
         until: u64,
-        sink: &mut impl FnMut(u64, &PictureSchedule),
+        mux: Option<&LiveMux>,
     ) -> u64 {
         let h = &self.hot[j];
         let na = h.next_arrival;
@@ -575,7 +590,7 @@ impl DynShard {
         } else {
             0
         };
-        let made = self.step_slot(j, classes, source, pushes, true, sink);
+        let made = self.step_slot(j, classes, source, pushes, true, mux);
         self.decisions += made;
         let digest = self.hot[j].digest;
         self.free_slot(j);
@@ -613,7 +628,7 @@ impl DynShard {
         source: &S,
         until: u64,
         batch: u64,
-        sink: &mut impl FnMut(u64, &PictureSchedule),
+        mux: Option<&LiveMux>,
     ) {
         let mut due = std::mem::take(&mut self.due);
         loop {
@@ -645,7 +660,7 @@ impl DynShard {
                     "wheel deadline off the session's arrival grid"
                 );
                 let pushes = (deadline - na) / period + 1;
-                let made = self.step_slot(j, classes, source, pushes, false, sink);
+                let made = self.step_slot(j, classes, source, pushes, false, mux);
                 self.decisions += made;
                 self.hot[j].next_arrival = deadline + period;
                 self.wheel.schedule(deadline + batch * period, item);
@@ -667,7 +682,7 @@ impl DynShard {
         periods: &[u64],
         source: &S,
         until: u64,
-        sink: &mut impl FnMut(u64, &PictureSchedule),
+        mux: Option<&LiveMux>,
     ) {
         for j in 0..self.allocated() {
             self.prefetch_slot(j + 1);
@@ -681,7 +696,7 @@ impl DynShard {
             }
             let period = periods[h.class_of as usize];
             let pushes = (until - na) / period + 1;
-            let made = self.step_slot(j, classes, source, pushes, false, sink);
+            let made = self.step_slot(j, classes, source, pushes, false, mux);
             self.decisions += made;
             self.hot[j].next_arrival = na + pushes * period;
         }
@@ -693,12 +708,12 @@ impl DynShard {
         &mut self,
         classes: &[ClassInfo],
         source: &S,
-        sink: &mut impl FnMut(u64, &PictureSchedule),
+        mux: Option<&LiveMux>,
     ) {
         for j in 0..self.allocated() {
             if self.hot[j].class_of != FREE {
                 self.prefetch_slot(j + 1);
-                let made = self.step_slot(j, classes, source, 0, true, sink);
+                let made = self.step_slot(j, classes, source, 0, true, mux);
                 self.decisions += made;
             }
         }
@@ -750,7 +765,23 @@ pub struct DynamicEngine {
     recovered_decisions: u64,
     /// Round-robin placement cursor (deterministic).
     rr: usize,
+    /// Parallel passes over the shards ([`fan_outs`](Self::fan_outs)).
+    fan_outs: u64,
     ended: bool,
+}
+
+/// How far one [`fan_out`](DynamicEngine::fan_out) pass takes each
+/// shard; each variant includes the ones before it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Pass {
+    /// Feed whole arrival batches as they come due; sub-batch tails stay
+    /// outstanding (each session's `next_arrival` tracks what was fed).
+    Drain,
+    /// Then feed every session's sub-batch tail: tick-exact state, what
+    /// every public API boundary observes.
+    Settle,
+    /// Then end every live session's stream.
+    Finish,
 }
 
 impl DynamicEngine {
@@ -806,6 +837,7 @@ impl DynamicEngine {
             digests: Vec::new(),
             recovered_decisions: 0,
             rr: 0,
+            fan_outs: 0,
             ended: false,
         })
     }
@@ -947,313 +979,12 @@ impl DynamicEngine {
     /// mod τ` ticks from now and every τ ticks after. Returns the
     /// engine-assigned session id.
     pub fn join(&mut self, class_id: usize, stream: u64, phase: u64) -> Result<u64, EngineError> {
-        assert!(!self.ended, "join after finish");
-        if class_id >= self.classes.len() {
-            return Err(EngineError::UnknownClass { class: class_id });
-        }
-        let (s, slot) = self.place()?;
-        let sid = self.locator.len() as u64;
-        let period = self.periods[class_id];
-        let first = self.now + 1 + (phase % period);
-        self.shards[s].get_mut().expect("shard poisoned").install(
-            slot,
-            sid,
-            stream,
-            class_id as u16,
-            first,
-            first + (self.batch - 1) * period,
-        );
-        self.locator.push(Locator {
-            shard: s as u32,
-            slot,
-        });
-        self.digests.push(FNV_OFFSET);
-        self.live += 1;
-        Ok(sid)
+        self.join_at(self.now, class_id, stream, phase)
     }
 
-    /// Departs session `sid` at the current scheduler position: feeds
-    /// its arrivals up to the position (batched visits may have left a
-    /// sub-batch tail outstanding), drains its tail decisions
-    /// (end-of-stream), records its final digest, and recycles its slot.
-    pub fn leave<S: SizeSource>(&mut self, sid: u64, source: &S) -> Result<(), EngineError> {
-        self.leave_mux(sid, source, None)
-    }
-
-    /// [`leave`](Self::leave) with an optional fused aggregator: the
-    /// departing session's catch-up and tail decisions stream into the
-    /// mux lane before the caller closes it.
-    fn leave_mux<S: SizeSource>(
-        &mut self,
-        sid: u64,
-        source: &S,
-        mux: Option<&LiveMux>,
-    ) -> Result<(), EngineError> {
-        assert!(!self.ended, "leave after finish");
-        let loc = *self
-            .locator
-            .get(sid as usize)
-            .ok_or(EngineError::UnknownSession { sid })?;
-        if loc == GONE {
-            return Err(EngineError::UnknownSession { sid });
-        }
-        let classes = &self.classes;
-        let periods = &self.periods;
-        let now = self.now;
-        let digest = self.shards[loc.shard as usize]
-            .get_mut()
-            .expect("shard poisoned")
-            .retire(
-                loc.slot as usize,
-                classes,
-                periods,
-                source,
-                now,
-                &mut |s, d| {
-                    if let Some(m) = mux {
-                        m.decision_shared(s, d);
-                    }
-                },
-            );
-        self.digests[sid as usize] = digest;
-        self.locator[sid as usize] = GONE;
-        self.live -= 1;
-        Ok(())
-    }
-
-    /// Advances the fleet to tick `until`: every shard drains its due
-    /// wheel entries in deadline order (whole arrival batches) and then
-    /// feeds each session's sub-batch tail, fanned over `threads`
-    /// workers (bit-identical for any thread count — shards are disjoint
-    /// and collected in index order). On return every arrival ≤ `until`
-    /// is decided, whatever the batch setting.
-    pub fn advance_to<S: SizeSource>(&mut self, source: &S, until: u64, threads: usize) {
-        self.advance_mux(source, until, threads, None);
-    }
-
-    /// [`advance_to`](Self::advance_to) with an optional fused
-    /// aggregator receiving every decision as it is made.
-    fn advance_mux<S: SizeSource>(
-        &mut self,
-        source: &S,
-        until: u64,
-        threads: usize,
-        mux: Option<&LiveMux>,
-    ) {
-        self.drain_mux(source, until, threads, mux);
-        let classes = &self.classes;
-        let periods = &self.periods;
-        let shards = &self.shards;
-        let idx: Vec<usize> = (0..shards.len()).collect();
-        par_map(threads, &idx, |_, &s| {
-            let mut shard = shards[s].lock().expect("shard poisoned");
-            shard.flush_until(classes, periods, source, until, &mut |sid, d| {
-                if let Some(m) = mux {
-                    m.decision_shared(sid, d);
-                }
-            });
-        });
-    }
-
-    /// The wheel-only half of [`advance_to`](Self::advance_to): arrivals
-    /// are fed as whole batches come due, but a session's sub-batch tail
-    /// stays outstanding (its `next_arrival` tracks exactly what has
-    /// been fed). [`run_trace`](Self::run_trace) interleaves this with
-    /// churn — a leave catches its own session up, and sessions never
-    /// interact, so deferring other sessions' tails changes no digest
-    /// bit — and settles everything with one streaming flush at the
-    /// horizon.
-    fn drain_mux<S: SizeSource>(
-        &mut self,
-        source: &S,
-        until: u64,
-        threads: usize,
-        mux: Option<&LiveMux>,
-    ) {
-        assert!(!self.ended, "advance after finish");
-        assert!(until >= self.now, "scheduler time runs forward");
-        let classes = &self.classes;
-        let periods = &self.periods;
-        let batch = self.batch;
-        let shards = &self.shards;
-        let idx: Vec<usize> = (0..shards.len()).collect();
-        par_map(threads, &idx, |_, &s| {
-            let mut shard = shards[s].lock().expect("shard poisoned");
-            shard.drain_until(classes, periods, source, until, batch, &mut |sid, d| {
-                if let Some(m) = mux {
-                    m.decision_shared(sid, d);
-                }
-            });
-        });
-        self.now = until;
-    }
-
-    /// Ends every live session's stream and drains the tail decisions.
-    /// Slots are kept (digests stay readable); the engine only reports
-    /// afterwards.
-    pub fn finish<S: SizeSource>(&mut self, source: &S, threads: usize) {
-        self.finish_mux(source, threads, None);
-    }
-
-    fn finish_mux<S: SizeSource>(&mut self, source: &S, threads: usize, mux: Option<&LiveMux>) {
-        assert!(!self.ended, "finish twice");
-        // Public boundaries leave nothing outstanding, but settle any
-        // sub-batch tails before ending streams all the same.
-        self.advance_mux(source, self.now, threads, mux);
-        let classes = &self.classes;
-        let shards = &self.shards;
-        let idx: Vec<usize> = (0..shards.len()).collect();
-        par_map(threads, &idx, |_, &s| {
-            let mut shard = shards[s].lock().expect("shard poisoned");
-            shard.finish_all(classes, source, &mut |sid, d| {
-                if let Some(m) = mux {
-                    m.decision_shared(sid, d);
-                }
-            });
-        });
-        self.ended = true;
-    }
-
-    /// Replays a [`ChurnTrace`]: between event ticks the wheel advances
-    /// the fleet; at each event tick, joins and leaves apply in trace
-    /// order *before* that tick's arrivals (the scan reference follows
-    /// the same rule). Finally advances to the trace horizon. Returns
-    /// the decisions made.
-    pub fn run_trace<S: SizeSource>(
-        &mut self,
-        source: &S,
-        trace: &ChurnTrace,
-        threads: usize,
-    ) -> Result<u64, EngineError> {
-        let before = self.decisions();
-        let mut i = 0;
-        while i < trace.events.len() {
-            let t = trace.events[i].0;
-            if t > self.now {
-                // Wheel-only: sub-batch tails stay outstanding across
-                // event ticks (leaves catch their own session up); the
-                // closing advance_to settles the fleet at the horizon.
-                self.drain_mux(source, t - 1, threads, None);
-            }
-            while i < trace.events.len() && trace.events[i].0 == t {
-                match trace.events[i].1 {
-                    ChurnEvent::Join {
-                        class,
-                        stream,
-                        phase,
-                    } => {
-                        // Arm relative to the event tick, not the drain
-                        // position (now may be t - 1).
-                        let sid = self.join_at(t, class as usize, stream, phase)?;
-                        let _ = sid;
-                    }
-                    ChurnEvent::Leave { sid } => self.leave(sid, source)?,
-                }
-                i += 1;
-            }
-        }
-        self.advance_to(source, trace.horizon, threads);
-        Ok(self.decisions() - before)
-    }
-
-    /// [`run_trace`](Self::run_trace) fused with a [`LiveMux`]: every
-    /// decision streams into its session's mux lane as it is made, a
-    /// join opens its lane at the session's first-arrival time on the
-    /// scheduler clock, a leave closes it, and buffered rate events are
-    /// ingested into the summation tree every
-    /// [`MUX_INGEST_SPAN_TICKS`] of trace time — the wheel drain and
-    /// the link aggregation advance together, with no materialized
-    /// schedules and no end-of-run mux pass over the fleet.
-    ///
-    /// The engine and `mux` must agree on the fleet: a fresh engine
-    /// with a [`LiveMux::with_joins`] aggregator sized to every session
-    /// id the trace will issue, or an engine/mux pair restored from
-    /// matching checkpoints ([`checkpoint`](Self::checkpoint) /
-    /// [`LiveMux::checkpoint`]) taken at the same trace position.
-    /// Call [`finish_fused`](Self::finish_fused) after the final trace
-    /// to end still-live sessions and read the stats. Digests and mux
-    /// bits are invariant in `threads`.
-    ///
-    /// Returns the decisions made, like [`run_trace`](Self::run_trace).
-    pub fn run_trace_fused<S: SizeSource>(
-        &mut self,
-        source: &S,
-        trace: &ChurnTrace,
-        threads: usize,
-        mux: &mut LiveMux,
-    ) -> Result<u64, EngineError> {
-        let before = self.decisions();
-        let mut last_ingest = self.now;
-        let mut i = 0;
-        while i < trace.events.len() {
-            let t = trace.events[i].0;
-            if t > self.now {
-                self.drain_mux(source, t - 1, threads, Some(mux));
-                if self.now - last_ingest >= MUX_INGEST_SPAN_TICKS {
-                    mux.ingest(threads, self.mux_clock_cap());
-                    last_ingest = self.now;
-                }
-            }
-            while i < trace.events.len() && trace.events[i].0 == t {
-                match trace.events[i].1 {
-                    ChurnEvent::Join {
-                        class,
-                        stream,
-                        phase,
-                    } => {
-                        let sid = self.join_at(t, class as usize, stream, phase)?;
-                        // The lane's local t = 0 is the session's first
-                        // picture arrival on the scheduler clock.
-                        let period = self.periods[class as usize];
-                        let first = t + 1 + (phase % period);
-                        mux.begin_session(sid, first as f64 / TICKS_PER_SEC as f64);
-                    }
-                    ChurnEvent::Leave { sid } => {
-                        self.leave_mux(sid, source, Some(mux))?;
-                        mux.finish_session(sid);
-                    }
-                }
-                i += 1;
-            }
-        }
-        self.advance_mux(source, trace.horizon, threads, Some(mux));
-        mux.ingest(threads, self.mux_clock_cap());
-        Ok(self.decisions() - before)
-    }
-
-    /// Ends the fused run: settles sub-batch tails, drains every live
-    /// session's end-of-stream decisions into the mux, closes their
-    /// lanes, ingests everything, and finalizes the aggregate — the
-    /// fused counterpart of [`finish`](Self::finish) +
-    /// [`LiveMux::finalize`].
-    pub fn finish_fused<S: SizeSource>(
-        &mut self,
-        source: &S,
-        threads: usize,
-        mux: &mut LiveMux,
-    ) -> LiveMuxStats {
-        self.finish_mux(source, threads, Some(mux));
-        for (sid, loc) in self.locator.iter().enumerate() {
-            if *loc != GONE {
-                mux.finish_session(sid as u64);
-            }
-        }
-        mux.ingest(threads, f64::INFINITY);
-        mux.finalize()
-    }
-
-    /// An upper bound on the event times any *future* join can emit: a
-    /// join at tick `t > now` has its first arrival at `t + 1 > now +
-    /// 1`, so its lane's events sit strictly past `(now + 1)` ticks —
-    /// safe as the [`LiveMux::ingest`] clock cap (events *at* the cap
-    /// are not flushed).
-    fn mux_clock_cap(&self) -> f64 {
-        (self.now + 1) as f64 / TICKS_PER_SEC as f64
-    }
-
-    /// [`join`](Self::join) anchored at event tick `t` (≥ the current
-    /// position): the trace replay drains to `t - 1` first, so arrivals
-    /// must be armed relative to `t`.
+    /// [`join`](Self::join) at trace tick `t`, which may run ahead of
+    /// the drained position: the session is armed relative to `t`, and
+    /// placement reads only live counts, so nothing is drained first.
     fn join_at(
         &mut self,
         t: u64,
@@ -1284,6 +1015,254 @@ impl DynamicEngine {
         self.digests.push(FNV_OFFSET);
         self.live += 1;
         Ok(sid)
+    }
+
+    /// Departs session `sid` at the current scheduler position: feeds
+    /// its arrivals up to the position (batched visits may have left a
+    /// sub-batch tail outstanding), drains its tail decisions
+    /// (end-of-stream), records its final digest, and recycles its slot.
+    pub fn leave<S: SizeSource>(&mut self, sid: u64, source: &S) -> Result<(), EngineError> {
+        self.leave_at(sid, self.now, source, None)
+    }
+
+    /// The mirror of [`join_at`](Self::join_at): departs session `sid`
+    /// once its arrivals up to and including tick `until` are fed.
+    /// `until` may run ahead of the drained position — the session
+    /// catches itself up from its own `next_arrival`, whatever the wheel
+    /// has not fed yet, and its pending wheel item goes stale with the
+    /// slot's generation. With a fused aggregator, the catch-up and tail
+    /// decisions stream into the session's mux lane before the caller
+    /// closes it.
+    fn leave_at<S: SizeSource>(
+        &mut self,
+        sid: u64,
+        until: u64,
+        source: &S,
+        mux: Option<&LiveMux>,
+    ) -> Result<(), EngineError> {
+        assert!(!self.ended, "leave after finish");
+        let loc = *self
+            .locator
+            .get(sid as usize)
+            .ok_or(EngineError::UnknownSession { sid })?;
+        if loc == GONE {
+            return Err(EngineError::UnknownSession { sid });
+        }
+        let digest = self.shards[loc.shard as usize]
+            .get_mut()
+            .expect("shard poisoned")
+            .retire(
+                loc.slot as usize,
+                &self.classes,
+                &self.periods,
+                source,
+                until,
+                mux,
+            );
+        self.digests[sid as usize] = digest;
+        self.locator[sid as usize] = GONE;
+        self.live -= 1;
+        Ok(())
+    }
+
+    /// Advances the fleet to tick `until`: every shard drains its due
+    /// wheel entries in deadline order (whole arrival batches) and then
+    /// feeds each session's sub-batch tail, fanned over `threads`
+    /// workers (bit-identical for any thread count — shards are disjoint
+    /// and collected in index order). On return every arrival ≤ `until`
+    /// is decided, whatever the batch setting.
+    pub fn advance_to<S: SizeSource>(&mut self, source: &S, until: u64, threads: usize) {
+        self.fan_out(source, until, threads, Pass::Settle, None);
+    }
+
+    /// Ends every live session's stream and drains the tail decisions.
+    /// Slots are kept (digests stay readable); the engine only reports
+    /// afterwards.
+    pub fn finish<S: SizeSource>(&mut self, source: &S, threads: usize) {
+        assert!(!self.ended, "finish twice");
+        self.fan_out(source, self.now, threads, Pass::Finish, None);
+    }
+
+    /// The engine's one fan-out point: every shard, on `threads`
+    /// workers, drains its due wheel entries up to `until` and then goes
+    /// as far as `pass` says. Shards are disjoint and collected in index
+    /// order, so the outcome is bit-identical for any thread count.
+    /// Counted by [`fan_outs`](Self::fan_outs).
+    fn fan_out<S: SizeSource>(
+        &mut self,
+        source: &S,
+        until: u64,
+        threads: usize,
+        pass: Pass,
+        mux: Option<&LiveMux>,
+    ) {
+        assert!(!self.ended, "advance after finish");
+        assert!(until >= self.now, "scheduler time runs forward");
+        let classes = &self.classes;
+        let periods = &self.periods;
+        let batch = self.batch;
+        let shards = &self.shards;
+        let idx: Vec<usize> = (0..shards.len()).collect();
+        par_map(threads, &idx, |_, &s| {
+            let mut shard = shards[s].lock().expect("shard poisoned");
+            shard.drain_until(classes, periods, source, until, batch, mux);
+            if pass >= Pass::Settle {
+                shard.flush_until(classes, periods, source, until, mux);
+            }
+            if pass == Pass::Finish {
+                shard.finish_all(classes, source, mux);
+            }
+        });
+        self.fan_outs += 1;
+        self.now = until;
+        self.ended = pass == Pass::Finish;
+    }
+
+    /// Engine fan-out passes since construction: one per parallel pass
+    /// over the shards — a span drain inside a trace replay, an
+    /// [`advance_to`](Self::advance_to), a [`finish`](Self::finish).
+    /// A function of the calls and the trace alone, never of the thread
+    /// count. A [`run_trace`](Self::run_trace) over `H` ticks makes at
+    /// most ⌈H / [`MUX_INGEST_SPAN_TICKS`]⌉ + 1 of them, however many
+    /// distinct event ticks the trace has.
+    pub fn fan_outs(&self) -> u64 {
+        self.fan_outs
+    }
+
+    /// Replays a [`ChurnTrace`]: at each event tick, joins and leaves
+    /// apply in trace order *before* that tick's arrivals (the scan
+    /// reference follows the same rule); finally the fleet advances to
+    /// the trace horizon. Returns the decisions made.
+    ///
+    /// The replay keeps two positions apart: the *trace* position (the
+    /// tick of the event being applied) and the *drained* position
+    /// [`now`](Self::now), which lags it by up to one
+    /// [`MUX_INGEST_SPAN_TICKS`] span. The fleet is drained — one
+    /// fan-out over the shards — only when the next event tick is more
+    /// than a span past the drained position, not at every event tick.
+    /// Nothing else needs the drain: a join is armed relative to its own
+    /// tick and placed by live counts; a leave at tick `t` catches its
+    /// own session up through `t − 1`; a recycled slot's old wheel item
+    /// is stale by its generation tag; and sessions never interact. So
+    /// digests are those of a tick-by-tick replay — pinned against the
+    /// frozen scan-all reference ([`crate::scanref`]) by the churn
+    /// proptests.
+    pub fn run_trace<S: SizeSource>(
+        &mut self,
+        source: &S,
+        trace: &ChurnTrace,
+        threads: usize,
+    ) -> Result<u64, EngineError> {
+        self.replay(source, trace, threads, None)
+    }
+
+    /// [`run_trace`](Self::run_trace) fused with a [`LiveMux`]: every
+    /// decision streams into its session's mux lane — one lane-block
+    /// lock per session visit ([`LiveMux::feed_visit`]) — a join opens
+    /// its lane at the session's first-arrival time on the scheduler
+    /// clock, a leave closes it, and after each span drain the buffered
+    /// rate events are ingested into the summation tree. The wheel drain
+    /// and the link aggregation advance together, with no materialized
+    /// schedules and no end-of-run mux pass over the fleet. The mux bits
+    /// do not depend on when ingests happen (the fence argument in
+    /// [`crate::livemux`]), so the span cadence is free to follow the
+    /// drain.
+    ///
+    /// The engine and `mux` must agree on the fleet: a fresh engine
+    /// with a [`LiveMux::with_joins`] aggregator sized to every session
+    /// id the trace will issue, or an engine/mux pair restored from
+    /// matching checkpoints ([`checkpoint`](Self::checkpoint) /
+    /// [`LiveMux::checkpoint`]) taken at the same trace position.
+    /// Call [`finish_fused`](Self::finish_fused) after the final trace
+    /// to end still-live sessions and read the stats. Digests and mux
+    /// bits are invariant in `threads`.
+    ///
+    /// Returns the decisions made, like [`run_trace`](Self::run_trace).
+    pub fn run_trace_fused<S: SizeSource>(
+        &mut self,
+        source: &S,
+        trace: &ChurnTrace,
+        threads: usize,
+        mux: &mut LiveMux,
+    ) -> Result<u64, EngineError> {
+        self.replay(source, trace, threads, Some(mux))
+    }
+
+    /// The one replay loop behind [`run_trace`](Self::run_trace) and
+    /// [`run_trace_fused`](Self::run_trace_fused); see their docs.
+    fn replay<S: SizeSource>(
+        &mut self,
+        source: &S,
+        trace: &ChurnTrace,
+        threads: usize,
+        mut mux: Option<&mut LiveMux>,
+    ) -> Result<u64, EngineError> {
+        let before = self.decisions();
+        for &(t, event) in &trace.events {
+            if t > self.now + MUX_INGEST_SPAN_TICKS {
+                self.fan_out(source, t - 1, threads, Pass::Drain, mux.as_deref());
+                if let Some(m) = mux.as_deref_mut() {
+                    m.ingest(threads, self.mux_clock_cap());
+                }
+            }
+            match event {
+                ChurnEvent::Join {
+                    class,
+                    stream,
+                    phase,
+                } => {
+                    let sid = self.join_at(t, class as usize, stream, phase)?;
+                    if let Some(m) = mux.as_deref_mut() {
+                        // The lane's local t = 0 is the session's first
+                        // picture arrival on the scheduler clock.
+                        let first = t + 1 + (phase % self.periods[class as usize]);
+                        m.begin_session(sid, first as f64 / TICKS_PER_SEC as f64);
+                    }
+                }
+                ChurnEvent::Leave { sid } => {
+                    self.leave_at(sid, t.saturating_sub(1), source, mux.as_deref())?;
+                    if let Some(m) = mux.as_deref_mut() {
+                        m.finish_session(sid);
+                    }
+                }
+            }
+        }
+        self.fan_out(source, trace.horizon, threads, Pass::Settle, mux.as_deref());
+        if let Some(m) = mux {
+            m.ingest(threads, self.mux_clock_cap());
+        }
+        Ok(self.decisions() - before)
+    }
+
+    /// Ends the fused run: settles sub-batch tails, drains every live
+    /// session's end-of-stream decisions into the mux, closes their
+    /// lanes, ingests everything, and finalizes the aggregate — the
+    /// fused counterpart of [`finish`](Self::finish) +
+    /// [`LiveMux::finalize`].
+    pub fn finish_fused<S: SizeSource>(
+        &mut self,
+        source: &S,
+        threads: usize,
+        mux: &mut LiveMux,
+    ) -> LiveMuxStats {
+        assert!(!self.ended, "finish twice");
+        self.fan_out(source, self.now, threads, Pass::Finish, Some(mux));
+        for (sid, loc) in self.locator.iter().enumerate() {
+            if *loc != GONE {
+                mux.finish_session(sid as u64);
+            }
+        }
+        mux.ingest(threads, f64::INFINITY);
+        mux.finalize()
+    }
+
+    /// An upper bound on the event times any *future* join can emit: a
+    /// join at tick `t > now` has its first arrival at `t + 1 > now +
+    /// 1`, so its lane's events sit strictly past `(now + 1)` ticks —
+    /// safe as the [`LiveMux::ingest`] clock cap (events *at* the cap
+    /// are not flushed).
+    fn mux_clock_cap(&self) -> f64 {
+        (self.now + 1) as f64 / TICKS_PER_SEC as f64
     }
 
     /// Per-session decision digests by session id — departed sessions

@@ -617,19 +617,24 @@ impl LiveMux {
         self.blocks[b].get_mut().expect("unshared").decision(sid, d);
     }
 
-    /// Shared-reference [`push_decision`](Self::push_decision) through
-    /// the block mutex — the dynamic fused path, where round-robin
-    /// placement means any engine shard's worker may hold any session.
-    /// Per-session decision order is preserved (a session lives in
-    /// exactly one shard, which emits its decisions sequentially);
-    /// cross-session interleaving in the buffer is irrelevant because
-    /// [`ingest`](Self::ingest) orders by `(t, leaf)`.
-    pub(crate) fn decision_shared(&self, sid: u64, d: &PictureSchedule) {
+    /// Feeds one engine visit of session `sid` — its decisions, in
+    /// order — through the lane-block mutex: one lock per visit, not
+    /// one per decision. This is the dynamic fused path, where
+    /// round-robin placement spreads a block's sessions over every
+    /// engine shard, so any worker may feed any block. Per-session
+    /// decision order is preserved (a session lives in exactly one
+    /// shard, which visits it sequentially); cross-session interleaving
+    /// in the buffer is irrelevant because [`ingest`](Self::ingest)
+    /// orders by `(t, leaf)`.
+    pub(crate) fn feed_visit(&self, sid: u64, decisions: &[PictureSchedule]) {
+        if decisions.is_empty() {
+            return;
+        }
         let b = sid as usize / self.block_size;
-        self.blocks[b]
-            .lock()
-            .expect("block poisoned")
-            .decision(sid, d);
+        let mut block = self.blocks[b].lock().expect("block poisoned");
+        for d in decisions {
+            block.decision(sid, d);
+        }
     }
 
     fn lane_mut(&mut self, sid: u64) -> &mut SessionLane {

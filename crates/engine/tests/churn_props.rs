@@ -16,8 +16,9 @@
 use proptest::prelude::*;
 use smooth_core::SmootherParams;
 use smooth_engine::{
-    churn_trace, scanref::run_scan, ChurnEvent, ChurnSpec, ChurnTrace, DynamicClass, DynamicEngine,
-    SessionClass, SyntheticFleet,
+    churn_trace, mux_digest, scanref::run_scan, ChurnEvent, ChurnSpec, ChurnTrace, DynamicClass,
+    DynamicEngine, LiveMux, MuxConfig, SessionClass, SyntheticFleet, MUX_INGEST_SPAN_TICKS,
+    TICKS_PER_SEC,
 };
 use smooth_mpeg::GopPattern;
 
@@ -47,9 +48,9 @@ fn arb_dynamic_class() -> impl Strategy<Value = DynamicClass> {
         })
 }
 
-/// A churn scenario: 1–3 classes with weights, a small initial fleet, a
-/// short horizon, and a hot churn rate so joins *and* leaves actually
-/// happen inside the horizon.
+/// A churn scenario: 1–3 classes with weights, a small initial fleet,
+/// and a hot churn rate so joins *and* leaves actually happen inside
+/// the horizon.
 #[derive(Debug, Clone)]
 struct Scenario {
     classes: Vec<DynamicClass>,
@@ -57,25 +58,31 @@ struct Scenario {
     seed: u64,
 }
 
-fn arb_scenario() -> impl Strategy<Value = Scenario> {
+/// Scenarios over `horizon` ticks: 1–3 weighted classes, `initial`
+/// sessions ramped in over the first `ticks_per_sec` ticks, then churn
+/// at `churn_ppm_per_sec` of the initial fleet.
+fn scenario(
+    initial: std::ops::RangeInclusive<usize>,
+    horizon: std::ops::Range<u64>,
+    ticks_per_sec: u64,
+    churn_ppm_per_sec: u64,
+) -> impl Strategy<Value = Scenario> {
     (
         proptest::collection::vec((arb_dynamic_class(), 1u32..=3), 1..=3),
-        1usize..=12,
-        20u64..200,
+        initial,
+        horizon,
         any::<u64>(),
     )
-        .prop_map(|(weighted, initial, horizon, seed)| {
+        .prop_map(move |(weighted, initial, horizon, seed)| {
             let (classes, weights): (Vec<_>, Vec<_>) = weighted.into_iter().unzip();
             let spec = ChurnSpec {
                 seed,
                 initial,
                 weights,
                 periods: classes.iter().map(|c| c.period_ticks).collect(),
-                ticks_per_sec: 10,
+                ticks_per_sec,
                 horizon,
-                // Very hot churn (500 %/s of the initial fleet) so short
-                // horizons still exercise leave + recycle + re-add.
-                churn_ppm_per_sec: 5_000_000,
+                churn_ppm_per_sec,
             };
             Scenario {
                 trace: churn_trace(&spec),
@@ -83,6 +90,25 @@ fn arb_scenario() -> impl Strategy<Value = Scenario> {
                 seed,
             }
         })
+}
+
+/// Short horizons (20–200 ticks, inside one ingest span) with very hot
+/// churn (500 %/s of the initial fleet) so they still exercise leave +
+/// recycle + re-add.
+fn arb_scenario() -> impl Strategy<Value = Scenario> {
+    scenario(1..=12, 20..200, 10, 5_000_000)
+}
+
+/// Horizons of 2–5 [`MUX_INGEST_SPAN_TICKS`] spans, so trace replays
+/// drain mid-trace, with a small fleet and hot churn (200 %/s): every
+/// span sees joins, leaves and slot reuse that no drain separates.
+fn arb_span_scenario() -> impl Strategy<Value = Scenario> {
+    scenario(
+        1..=4,
+        2 * MUX_INGEST_SPAN_TICKS..5 * MUX_INGEST_SPAN_TICKS + 1,
+        100,
+        2_000_000,
+    )
 }
 
 fn source(s: &Scenario) -> SyntheticFleet {
@@ -96,6 +122,59 @@ fn capacity(s: &Scenario) -> usize {
     s.trace.peak_live.max(1)
 }
 
+fn check_wheel_matches_scan(s: &Scenario) -> Result<(), TestCaseError> {
+    let src = source(s);
+    for finish in [false, true] {
+        let want = run_scan(&s.classes, &s.trace, &src, finish);
+        let mut engine =
+            DynamicEngine::new(s.classes.clone(), capacity(s), 4).expect("valid config");
+        engine
+            .run_trace(&src, &s.trace, 1)
+            .expect("trace fits capacity");
+        if finish {
+            engine.finish(&src, 1);
+        }
+        prop_assert_eq!(
+            engine.session_digests(),
+            want.session_digests,
+            "finish={} seed={}",
+            finish,
+            s.seed
+        );
+        prop_assert_eq!(engine.digest(), want.digest);
+        prop_assert_eq!(engine.decisions(), want.decisions);
+    }
+    Ok(())
+}
+
+fn check_thread_and_shard_invariance(s: &Scenario, threads: &[usize]) -> Result<(), TestCaseError> {
+    let src = source(s);
+    let cap = capacity(s);
+    let mut baseline = DynamicEngine::new(s.classes.clone(), cap, 64).expect("valid");
+    baseline.run_trace(&src, &s.trace, 1).expect("fits");
+    baseline.finish(&src, 1);
+    let want_digest = baseline.digest();
+    let want_sessions = baseline.session_digests();
+
+    for shard_size in [1usize, 3, 7] {
+        for &threads in threads {
+            let mut engine = DynamicEngine::new(s.classes.clone(), cap, shard_size).expect("valid");
+            engine.run_trace(&src, &s.trace, threads).expect("fits");
+            engine.finish(&src, threads);
+            prop_assert_eq!(
+                engine.digest(),
+                want_digest,
+                "digest diverged at shard_size={} threads={}",
+                shard_size,
+                threads
+            );
+            prop_assert_eq!(&engine.session_digests(), &want_sessions);
+            prop_assert_eq!(engine.decisions(), baseline.decisions());
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -103,55 +182,13 @@ proptest! {
     /// end-of-run drain.
     #[test]
     fn wheel_matches_scan_reference(s in arb_scenario()) {
-        let src = source(&s);
-        for finish in [false, true] {
-            let want = run_scan(&s.classes, &s.trace, &src, finish);
-            let mut engine =
-                DynamicEngine::new(s.classes.clone(), capacity(&s), 4).expect("valid config");
-            engine.run_trace(&src, &s.trace, 1).expect("trace fits capacity");
-            if finish {
-                engine.finish(&src, 1);
-            }
-            prop_assert_eq!(
-                engine.session_digests(),
-                want.session_digests,
-                "finish={} seed={}",
-                finish,
-                s.seed
-            );
-            prop_assert_eq!(engine.digest(), want.digest);
-            prop_assert_eq!(engine.decisions(), want.decisions);
-        }
+        check_wheel_matches_scan(&s)?;
     }
 
     /// Thread count and shard size never change a bit.
     #[test]
     fn churn_digests_invariant_across_threads_and_shards(s in arb_scenario()) {
-        let src = source(&s);
-        let cap = capacity(&s);
-        let mut baseline = DynamicEngine::new(s.classes.clone(), cap, 64).expect("valid");
-        baseline.run_trace(&src, &s.trace, 1).expect("fits");
-        baseline.finish(&src, 1);
-        let want_digest = baseline.digest();
-        let want_sessions = baseline.session_digests();
-
-        for shard_size in [1usize, 3, 7] {
-            for threads in [1usize, 2, 4] {
-                let mut engine =
-                    DynamicEngine::new(s.classes.clone(), cap, shard_size).expect("valid");
-                engine.run_trace(&src, &s.trace, threads).expect("fits");
-                engine.finish(&src, threads);
-                prop_assert_eq!(
-                    engine.digest(),
-                    want_digest,
-                    "digest diverged at shard_size={} threads={}",
-                    shard_size,
-                    threads
-                );
-                prop_assert_eq!(&engine.session_digests(), &want_sessions);
-                prop_assert_eq!(engine.decisions(), baseline.decisions());
-            }
-        }
+        check_thread_and_shard_invariance(&s, &[1, 2, 4])?;
     }
 
     /// The arrival-batch quantum is a pure throughput knob: replays at
@@ -291,6 +328,26 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Wheel vs. scan over several ingest spans: the replay drains once
+    /// per span, so joins, leaves and recycled slots between drains
+    /// must still land on the tick-by-tick reference's bits.
+    #[test]
+    fn wheel_matches_scan_reference_across_spans(s in arb_span_scenario()) {
+        check_wheel_matches_scan(&s)?;
+    }
+
+    /// Thread and shard invariance over several ingest spans.
+    #[test]
+    fn churn_digests_invariant_across_threads_and_shards_across_spans(
+        s in arb_span_scenario()
+    ) {
+        check_thread_and_shard_invariance(&s, &[1, 2, 3])?;
+    }
+}
+
 /// Bounded memory under heavy churn: 100k+ churn events recycle slots
 /// instead of growing the shards — resident slots never exceed the
 /// engine capacity (peak concurrency), no matter how many sessions pass
@@ -344,4 +401,195 @@ fn hundred_k_churn_events_keep_memory_bounded() {
         slot_bytes < 1024,
         "slot bytes {slot_bytes} not a small constant"
     );
+}
+
+/// A 30 fps class on the 600 tick/s clock.
+fn class_30fps() -> DynamicClass {
+    DynamicClass {
+        class: SessionClass::new(
+            SmootherParams::new(0.2, 1, 9, TAU).unwrap(),
+            GopPattern::new(3, 9).unwrap(),
+        ),
+        period_ticks: TICKS_PER_SEC / 30,
+    }
+}
+
+/// Fused replay of `trace` on `threads` workers, optionally cut at tick
+/// `cut` by an engine + mux checkpoint → restore: (fleet digest, mux
+/// digest, engine fan-out passes of the replay).
+fn fused_replay(
+    classes: &[DynamicClass],
+    trace: &ChurnTrace,
+    batch: u64,
+    threads: usize,
+    cut: Option<u64>,
+) -> (u64, u64, u64) {
+    let src = SyntheticFleet {
+        seed: 0x5107,
+        pattern: classes[0].class.pattern,
+    };
+    let cfg = MuxConfig {
+        capacity_bps: 3.0e6,
+        buffer_bits: 1.0e5,
+        t_start: 0.0,
+        t_end: trace.horizon as f64 / TICKS_PER_SEC as f64,
+        descriptor_rho_bps: 1.5e6,
+    };
+    let cap = trace.peak_live;
+    let shard_size = 1;
+    let mut engine = DynamicEngine::new(classes.to_vec(), cap, shard_size).unwrap();
+    engine.set_arrival_batch(batch);
+    let mut mux = LiveMux::with_joins(trace.total_joins(), shard_size, cfg);
+    let mut fan_outs = 0;
+    let rest = match cut {
+        None => trace.clone(),
+        Some(cut) => {
+            let part = |keep: &dyn Fn(u64) -> bool, horizon| ChurnTrace {
+                events: trace
+                    .events
+                    .iter()
+                    .copied()
+                    .filter(|&(t, _)| keep(t))
+                    .collect(),
+                horizon,
+                peak_live: trace.peak_live,
+            };
+            engine
+                .run_trace_fused(&src, &part(&|t| t <= cut, cut), threads, &mut mux)
+                .unwrap();
+            fan_outs += engine.fan_outs();
+            let ecp = engine.checkpoint();
+            let mcp = mux.checkpoint();
+            engine =
+                DynamicEngine::restore_checkpoint(classes.to_vec(), cap, shard_size, &ecp).unwrap();
+            engine.set_arrival_batch(batch);
+            mux = LiveMux::restore(&mcp);
+            part(&|t| t > cut, trace.horizon)
+        }
+    };
+    engine
+        .run_trace_fused(&src, &rest, threads, &mut mux)
+        .unwrap();
+    fan_outs += engine.fan_outs();
+    let stats = engine.finish_fused(&src, threads, &mut mux);
+    (
+        engine.digest(),
+        mux_digest(&stats, &mux.descriptors()),
+        fan_outs,
+    )
+}
+
+/// Slot reuse inside one ingest span: session 0 joins, comes due on the
+/// wheel, and leaves, and session 2 joins into its recycled slot — all
+/// before the first drain. No drain ever touches session 0: its leave
+/// catches it up, and its armed wheel item (due at tick 61) is stale by
+/// generation when the next drain pops it.
+#[test]
+fn slot_reuse_inside_one_span_matches_references() {
+    let join = |stream| ChurnEvent::Join {
+        class: 0,
+        stream,
+        phase: 0,
+    };
+    let trace = ChurnTrace {
+        events: vec![
+            (0, join(10)),
+            (0, join(11)),
+            (200, ChurnEvent::Leave { sid: 0 }),
+            (250, join(12)),
+            (500, ChurnEvent::Leave { sid: 1 }),
+            (700, join(13)),
+        ],
+        horizon: 1000,
+        peak_live: 2,
+    };
+    // Batch 4 arms session 0 at its 4th arrival, tick 1 + 3·20 = 61.
+    let batch = 4;
+    let classes = vec![class_30fps()];
+    let src = SyntheticFleet {
+        seed: 0x5107,
+        pattern: classes[0].class.pattern,
+    };
+    for finish in [false, true] {
+        let want = run_scan(&classes, &trace, &src, finish);
+        let mut engine = DynamicEngine::new(classes.clone(), 2, 1).unwrap();
+        engine.set_arrival_batch(batch);
+        engine.run_trace(&src, &trace, 1).unwrap();
+        // One span drain (to tick 499, before the leave at 500) and the
+        // closing advance: nothing drained the fleet before tick 250.
+        assert_eq!(engine.fan_outs(), 2);
+        assert_eq!(engine.allocated_slots(), 2, "session 2 reused a slot");
+        if finish {
+            engine.finish(&src, 1);
+        }
+        assert_eq!(engine.session_digests(), want.session_digests);
+        assert_eq!(engine.decisions(), want.decisions);
+    }
+
+    let (want_fleet, want_mux, _) = fused_replay(&classes, &trace, batch, 1, None);
+    let bare = {
+        let mut engine = DynamicEngine::new(classes.clone(), 2, 1).unwrap();
+        engine.run_trace(&src, &trace, 1).unwrap();
+        engine.finish(&src, 1);
+        engine.digest()
+    };
+    assert_eq!(want_fleet, bare);
+    for threads in [1, 2] {
+        // Cut inside the span, right after the slot was reused.
+        for cut in [None, Some(260)] {
+            let (fleet, mux, _) = fused_replay(&classes, &trace, batch, threads, cut);
+            assert_eq!(fleet, want_fleet, "threads={threads} cut={cut:?}");
+            assert_eq!(mux, want_mux, "threads={threads} cut={cut:?}");
+        }
+    }
+}
+
+/// A replay of `H` ticks fans out over the shards at most
+/// ⌈H / MUX_INGEST_SPAN_TICKS⌉ + 1 times — once per span and once to
+/// settle at the horizon — however many distinct ticks carry events,
+/// and the count does not depend on the thread count.
+#[test]
+fn replay_fans_out_once_per_span() {
+    let classes: Vec<_> = [24u64, 25, 30, 60]
+        .iter()
+        .map(|&fps| smooth_engine::fps_class(fps))
+        .collect();
+    let trace = churn_trace(&ChurnSpec {
+        seed: 0xFA9,
+        initial: 300,
+        weights: vec![1; 4],
+        periods: classes.iter().map(|c| c.period_ticks).collect(),
+        ticks_per_sec: TICKS_PER_SEC,
+        horizon: 4 * TICKS_PER_SEC,
+        churn_ppm_per_sec: 200_000,
+    });
+    let mut ticks: Vec<u64> = trace.events.iter().map(|&(t, _)| t).collect();
+    ticks.dedup();
+    let h = trace.horizon;
+    let bound = h.div_ceil(MUX_INGEST_SPAN_TICKS) + 1;
+    assert!(
+        ticks.len() as u64 > 10 * bound,
+        "only {} event ticks",
+        ticks.len()
+    );
+    let src = SyntheticFleet {
+        seed: 0xFA9,
+        pattern: classes[0].class.pattern,
+    };
+    let mut counts = Vec::new();
+    for threads in [1, 2] {
+        let mut engine = DynamicEngine::new(classes.clone(), trace.peak_live, 64).unwrap();
+        engine.run_trace(&src, &trace, threads).unwrap();
+        assert!(
+            engine.fan_outs() <= bound,
+            "{} fan-outs over {h} ticks ({} event ticks), bound {bound}",
+            engine.fan_outs(),
+            ticks.len()
+        );
+        counts.push(engine.fan_outs());
+    }
+    assert_eq!(counts[0], counts[1], "fan-outs depend on threads");
+    // The fused replay drains on the same cadence.
+    let (_, _, fused) = fused_replay(&classes, &trace, smooth_engine::ARRIVAL_BATCH, 2, None);
+    assert_eq!(fused, counts[0]);
 }
