@@ -161,10 +161,10 @@ pub fn fig5() -> Vec<Table> {
     for i in 0..trace.len() {
         series.push(vec![
             i.to_string(),
-            f(d01.schedule[i].delay, 5),
-            f(d03.schedule[i].delay, 5),
-            f(k1.schedule[i].delay, 5),
-            f(k9.schedule[i].delay, 5),
+            f(d01.schedule[i].delay(d01.params.tau), 5),
+            f(d03.schedule[i].delay(d03.params.tau), 5),
+            f(k1.schedule[i].delay(k1.params.tau), 5),
+            f(k9.schedule[i].delay(k9.params.tau), 5),
             f(ideal.schedule[i].delay, 5),
         ]);
     }
@@ -364,7 +364,7 @@ pub fn theorem() -> Vec<Table> {
         let reports = smooth_sweep::par_map(
             smooth_sweep::default_threads(),
             &param_grid,
-            |_, &params| check_theorem1(&smooth(&trace, params)),
+            |_, &params| check_theorem1(&smooth(&trace, params), &trace.sizes),
         );
         let configs = reports.len();
         let mut pictures = 0usize;
@@ -767,7 +767,7 @@ pub fn adaptive() -> Vec<Table> {
         (rates.iter().map(|x| (x - m) * (x - m)).sum::<f64>() / rates.len() as f64).sqrt()
     };
     for (name, r) in [("schedule-aware", &aware), ("fixed-(2,6) naive", &naive)] {
-        let report = audit(r);
+        let report = audit(r, &video.sizes);
         let peak = r.rates().fold(0.0f64, f64::max);
         table.push(vec![
             name.to_string(),

@@ -112,7 +112,7 @@ mod tests {
         for (d, k) in [(0.1, 1), (0.2, 1), (0.2, 3), (0.4, 9)] {
             let params = SmootherParams::at_30fps(d, k, 9).expect("feasible");
             let result = smooth_adaptive(&video, params, RateSelection::Basic);
-            let report = check_theorem1(&result);
+            let report = check_theorem1(&result, &video.sizes);
             assert!(report.holds(), "D={d} K={k}: {report:?}");
         }
     }
@@ -122,7 +122,7 @@ mod tests {
         let video = adaptive_driving();
         let params = SmootherParams::at_30fps(0.2, 1, 9).expect("feasible");
         let result = smooth_adaptive(&video, params, RateSelection::MovingAverage);
-        assert!(check_theorem1(&result).holds());
+        assert!(check_theorem1(&result, &video.sizes).holds());
     }
 
     #[test]
@@ -192,8 +192,8 @@ mod tests {
         let naive = crate::smoother::smooth(&naive_trace, params);
 
         // Both satisfy Theorem 1 regardless.
-        assert!(check_theorem1(&aware).holds());
-        assert!(check_theorem1(&naive).holds());
+        assert!(check_theorem1(&aware, &video.sizes).holds());
+        assert!(check_theorem1(&naive, &video.sizes).holds());
 
         let sd = |r: &SmoothingResult| {
             let rates: Vec<f64> = r.rates().collect();

@@ -261,8 +261,9 @@ pub fn validate_against_events(result: &SmoothingResult, seed: u64) -> EventSimR
         // True delay: first bit to last transmitted bit.
         let true_delay = p.depart - arrival_start;
         true_delays.push(true_delay);
-        max_excess = max_excess.max(true_delay - p.delay);
-        slack_sum += p.delay - true_delay;
+        let delay = p.delay(tau);
+        max_excess = max_excess.max(true_delay - delay);
+        slack_sum += delay - true_delay;
 
         // Starvation check: the server begins sending picture i at
         // p.start; with K >= 1 the model guarantees p.start >= (i+K)τ ≥

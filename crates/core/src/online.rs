@@ -522,7 +522,7 @@ mod tests {
         }
         schedule.extend(online.finish());
         let result = SmoothingResult { params, schedule };
-        let report = crate::verify::check_theorem1(&result);
+        let report = crate::verify::check_theorem1(&result, &t.sizes);
         assert!(report.holds(), "{report:?}");
     }
 

@@ -13,17 +13,27 @@
 
 use crate::estimate::{DefaultSizes, PatternEstimator, SizeEstimator};
 use crate::params::SmootherParams;
-use crate::smoother::{DecideCtx, PictureSchedule, RateSelection, SmoothingResult, TIME_EPS};
+use crate::simd::BoundState;
+use crate::smoother::{
+    DecideCtx, LoopExit, PictureSchedule, RateSelection, SmoothingResult, TIME_EPS,
+};
 use smooth_mpeg::GopPattern;
 use smooth_trace::VideoTrace;
 
-/// The pre-PR per-picture decision loop, verbatim: one scalar
-/// `sum / dl`, `sum / du` pair per lookahead step with running
-/// max/min intersection. [`crate::smoother`]'s production `decide_one`
-/// computes the identical IEEE divisions in blocked form (so the
-/// backend can pack them two-per-`divpd`); the `incremental_props`
-/// proptests hold the two bit-identical.
+/// The pre-PR per-picture decision: [`reference_bounds`], then the
+/// shared rate selection.
 pub(crate) fn decide_one_reference(ctx: &DecideCtx<'_>) -> PictureSchedule {
+    crate::smoother::finish_decision(ctx, &reference_bounds(ctx))
+}
+
+/// The pre-PR bound-intersection loop, verbatim: one scalar
+/// `sum / dl`, `sum / du` pair per lookahead step with running
+/// max/min intersection. [`crate::smoother`]'s production
+/// `intersect_bounds` computes the identical IEEE divisions in blocked
+/// form (so the backend can pack them two-per-`divpd`); the
+/// `incremental_props` proptests and the smoother's exit-state unit test
+/// hold the two bit-identical.
+pub(crate) fn reference_bounds(ctx: &DecideCtx<'_>) -> LoopExit {
     let tau = ctx.params.tau;
     let d_bound = ctx.params.delay_bound;
     let k = ctx.params.k;
@@ -65,9 +75,19 @@ pub(crate) fn decide_one_reference(ctx: &DecideCtx<'_>) -> PictureSchedule {
         }
     }
 
-    crate::smoother::finish_decision(
-        ctx, time, sum, lower, upper, lower_old, upper_old, lower0, upper0, h, crossed,
-    )
+    LoopExit {
+        st: BoundState {
+            sum,
+            lower,
+            upper,
+            lower_old,
+            upper_old,
+            lower0,
+            upper0,
+        },
+        h,
+        crossed,
+    }
 }
 
 /// Fills `scratch` with the lookahead window `S_i .. S_{i+look−1}`:

@@ -50,24 +50,6 @@ use smooth_trace::VideoTrace;
 /// nanosecond — ten orders of magnitude below a picture period.
 pub const TIME_EPS: f64 = 1e-9;
 
-/// Serde adapter for an `f64` that may be `+∞` (JSON has no infinity:
-/// encode it as `null`).
-mod serde_maybe_infinite {
-    use serde::{Deserialize, Deserializer, Serializer};
-
-    pub fn serialize<S: Serializer>(v: &f64, s: S) -> Result<S::Ok, S::Error> {
-        if v.is_finite() {
-            s.serialize_some(v)
-        } else {
-            s.serialize_none()
-        }
-    }
-
-    pub fn deserialize<'de, D: Deserializer<'de>>(d: D) -> Result<f64, D::Error> {
-        Ok(Option::<f64>::deserialize(d)?.unwrap_or(f64::INFINITY))
-    }
-}
-
 /// How the rate is chosen on normal (full-lookahead) exit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RateSelection {
@@ -80,7 +62,13 @@ pub enum RateSelection {
     MovingAverage,
 }
 
-/// The scheduling decision for one picture.
+/// The scheduling decision for one picture: the paper's `t_i`, `r_i` and
+/// `d_i` (Figure 2), nothing else.
+///
+/// Quantities derived from these are not stored: the delay is
+/// [`PictureSchedule::delay`], and the Theorem 1 bounds `r_L(0)`/`r_U(0)`
+/// are [`theorem1_bounds`] of the picture's start and size. Keeping the
+/// record at 32 bytes halves the memory a long schedule writes.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct PictureSchedule {
     /// Display index of the picture.
@@ -91,18 +79,42 @@ pub struct PictureSchedule {
     pub rate: f64,
     /// `d_i` — when its last bit left (seconds).
     pub depart: f64,
+}
+
+impl PictureSchedule {
     /// `delay_i = d_i − i·τ` — includes encoding, queueing, and sending
     /// delay (paper eq. 4).
-    pub delay: f64,
-    /// Exact Theorem 1 lower bound `r_L(0)` at selection time.
-    pub lower0: f64,
-    /// Exact Theorem 1 upper bound `r_U(0)` at selection time. May be
-    /// `+∞` (no continuous-service constraint); serialized as JSON `null`
-    /// and restored as `+∞`.
-    #[serde(with = "serde_maybe_infinite")]
-    pub upper0: f64,
-    /// Number of pictures the inner loop examined (1 ..= H).
-    pub lookahead_used: usize,
+    #[inline]
+    pub fn delay(&self, tau: f64) -> f64 {
+        self.depart - self.index as f64 * tau
+    }
+}
+
+/// The exact Theorem 1 rate bounds `(r_L(0), r_U(0))` of picture `i`
+/// started at `start` with true size `size_bits` (paper eqs. 12–13 at
+/// h = 0):
+///
+/// ```text
+/// r_L(0) = S_i / (D + i·τ − t_i)       [∞ if denom ≤ 0]
+/// r_U(0) = S_i / ((i+K+1)·τ − t_i)     [∞ if denom ≤ 0]
+/// ```
+///
+/// These are the IEEE operations of the decision loop's h = 0 step, so
+/// for `K ≥ 1` (where `S_i` is known at `t_i`) they equal, bit for bit,
+/// the bounds the smoother selected the rate within.
+#[inline]
+pub fn theorem1_bounds(
+    params: &SmootherParams,
+    i: usize,
+    start: f64,
+    size_bits: u64,
+) -> (f64, f64) {
+    let sum = size_bits as f64;
+    let dl = params.delay_bound + i as f64 * params.tau - start;
+    let lower = if dl > 0.0 { sum / dl } else { f64::INFINITY };
+    let du = (i + params.k + 1) as f64 * params.tau - start;
+    let upper = if du > 0.0 { sum / du } else { f64::INFINITY };
+    (lower, upper)
 }
 
 /// Complete output of a smoothing run.
@@ -135,7 +147,8 @@ impl SmoothingResult {
     /// Per-picture delays, display order. Allocation-free; `.collect()`
     /// when a `Vec` is needed.
     pub fn delays(&self) -> impl Iterator<Item = f64> + '_ {
-        self.schedule.iter().map(|p| p.delay)
+        let tau = self.params.tau;
+        self.schedule.iter().map(move |p| p.delay(tau))
     }
 
     /// Largest per-picture delay (0 for an empty schedule).
@@ -146,9 +159,8 @@ impl SmoothingResult {
     /// Number of pictures whose delay exceeds the bound `D`
     /// (beyond [`TIME_EPS`]). Theorem 1: zero whenever `K ≥ 1`.
     pub fn delay_violations(&self) -> usize {
-        self.schedule
-            .iter()
-            .filter(|p| p.delay > self.params.delay_bound + TIME_EPS)
+        self.delays()
+            .filter(|&delay| delay > self.params.delay_bound + TIME_EPS)
             .count()
     }
 
@@ -263,12 +275,32 @@ pub(crate) struct DecideCtx<'a> {
 pub use crate::simd::BlockLanes;
 use crate::simd::{bound_blocks8, BoundState, DECIDE_BLOCK};
 
+/// Exit state of one picture's bound-intersection loop: the running
+/// bounds [`finish_decision`] selects the rate from, plus what the loop
+/// saw on the way. `st.lower0`/`st.upper0` are the h = 0 bounds and `h`
+/// the number of pictures examined (1 ..= H), the lookahead actually
+/// used. Not part of the output record; the unit tests pin the blocked
+/// kernels against the frozen reference loop through it.
+pub(crate) struct LoopExit {
+    pub st: BoundState,
+    #[cfg_attr(not(test), allow(dead_code))]
+    pub h: usize,
+    pub crossed: bool,
+}
+
 /// Schedules one picture: the body of the paper's outer `repeat` loop.
+#[inline(always)]
+pub(crate) fn decide_one(ctx: &DecideCtx<'_>, lanes: &mut BlockLanes) -> PictureSchedule {
+    finish_decision(ctx, &intersect_bounds(ctx, lanes))
+}
+
+/// The inner loop of [`decide_one`]: intersects `[r_L(h), r_U(h)]` for
+/// `h = 0 .. H−1`.
 ///
 /// Computes the same IEEE divisions as the pre-PR scalar loop retained
-/// in [`crate::reference::decide_one_reference`] — only grouped into
-/// 8-lane blocks ([`bound_blocks8`]) so they vectorize, with the scalar
-/// loop kept verbatim for the sub-block tail. The `incremental_props`
+/// in [`crate::reference::reference_bounds`] — only grouped into 8-lane
+/// blocks ([`bound_blocks8`]) so they vectorize, with the scalar loop
+/// kept verbatim for the sub-block tail. The `incremental_props`
 /// proptests pin the two bit-identical.
 ///
 /// Inlined into each caller's loop so the `DecideCtx` fields stay in
@@ -279,7 +311,7 @@ use crate::simd::{bound_blocks8, BoundState, DECIDE_BLOCK};
 /// picture. Every lane element is written before it is read within each
 /// [`bound_blocks8`] call, so reuse across pictures cannot leak state.
 #[inline(always)]
-pub(crate) fn decide_one(ctx: &DecideCtx<'_>, lanes: &mut BlockLanes) -> PictureSchedule {
+pub(crate) fn intersect_bounds(ctx: &DecideCtx<'_>, lanes: &mut BlockLanes) -> LoopExit {
     let tau = ctx.params.tau;
     let d_bound = ctx.params.delay_bound;
     let k = ctx.params.k;
@@ -338,19 +370,7 @@ pub(crate) fn decide_one(ctx: &DecideCtx<'_>, lanes: &mut BlockLanes) -> Picture
         }
     }
 
-    finish_decision(
-        ctx,
-        time,
-        st.sum,
-        st.lower,
-        st.upper,
-        st.lower_old,
-        st.upper_old,
-        st.lower0,
-        st.upper0,
-        h,
-        crossed,
-    )
+    LoopExit { st, h, crossed }
 }
 
 /// Turns the bound-intersection loop's exit state into a scheduled
@@ -359,20 +379,17 @@ pub(crate) fn decide_one(ctx: &DecideCtx<'_>, lanes: &mut BlockLanes) -> Picture
 /// differ in how they compute the (identical) bounds. Inlined, as the
 /// pre-PR code (where this tail was part of the decision loop body) was.
 #[inline(always)]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn finish_decision(
-    ctx: &DecideCtx<'_>,
-    time: f64,
-    sum: f64,
-    lower: f64,
-    upper: f64,
-    lower_old: f64,
-    upper_old: f64,
-    lower0: f64,
-    upper0: f64,
-    h: usize,
-    crossed: bool,
-) -> PictureSchedule {
+pub(crate) fn finish_decision(ctx: &DecideCtx<'_>, exit: &LoopExit) -> PictureSchedule {
+    let BoundState {
+        sum,
+        lower,
+        upper,
+        lower_old,
+        upper_old,
+        ..
+    } = exit.st;
+    let crossed = exit.crossed;
+    let time = ctx.start;
     let tau = ctx.params.tau;
     let i = ctx.i;
 
@@ -434,16 +451,11 @@ pub(crate) fn finish_decision(
         ctx.size_i as f64 / tau
     };
 
-    let depart_new = time + ctx.size_i as f64 / rate;
     PictureSchedule {
         index: i,
         start: time,
         rate,
-        depart: depart_new,
-        delay: depart_new - i as f64 * tau,
-        lower0,
-        upper0,
-        lookahead_used: h,
+        depart: time + ctx.size_i as f64 / rate,
     }
 }
 
@@ -510,6 +522,7 @@ impl<'a> Smoother<'a> {
             self.estimator,
             self.selection,
             scratch,
+            |_| {},
         )
     }
 }
@@ -519,12 +532,17 @@ impl<'a> Smoother<'a> {
 /// [`PatternEstimator`]) monomorphizes — the closed-form estimate inlines
 /// into the window engine with no virtual dispatch. [`Smoother`] calls
 /// this with `E = dyn SizeEstimator`, keeping the flexible API.
+///
+/// `observe` sees each picture's [`LoopExit`] before the rate is
+/// selected from it; the public entry points pass a no-op, the unit
+/// tests record the lookahead used.
 fn run_core<E: SizeEstimator + ?Sized>(
     trace: &VideoTrace,
     params: SmootherParams,
     estimator: &E,
     selection: RateSelection,
     scratch: &mut SmoothScratch,
+    mut observe: impl FnMut(&LoopExit),
 ) -> SmoothingResult {
     let tau = params.tau;
     let k = params.k;
@@ -590,7 +608,9 @@ fn run_core<E: SizeEstimator + ?Sized>(
             size_i: sizes[i],
             exact_prefix,
         };
-        let decision = decide_one(&ctx, &mut lanes);
+        let exit = intersect_bounds(&ctx, &mut lanes);
+        observe(&exit);
+        let decision = finish_decision(&ctx, &exit);
         depart = decision.depart;
         prev_rate = Some(decision.rate);
         schedule.push(decision);
@@ -626,7 +646,14 @@ pub fn smooth_with_scratch(
     // Concrete estimator type: run_core monomorphizes and the closed-form
     // estimate inlines into the window engine.
     let estimator = PatternEstimator::default();
-    run_core(trace, params, &estimator, RateSelection::Basic, scratch)
+    run_core(
+        trace,
+        params,
+        &estimator,
+        RateSelection::Basic,
+        scratch,
+        |_| {},
+    )
 }
 
 /// Smooths many (trace, params) jobs sequentially through one reused
@@ -687,18 +714,68 @@ mod tests {
         }
     }
 
+    /// Runs the default smoother and records every picture's loop exit
+    /// state `(h, lower0 bits, upper0 bits, crossed)`.
+    fn run_exits(
+        trace: &VideoTrace,
+        params: SmootherParams,
+    ) -> (SmoothingResult, Vec<(usize, u64, u64, bool)>) {
+        let mut exits = Vec::new();
+        let result = run_core(
+            trace,
+            params,
+            &PatternEstimator::default(),
+            RateSelection::Basic,
+            &mut SmoothScratch::new(),
+            |e| exits.push((e.h, e.st.lower0.to_bits(), e.st.upper0.to_bits(), e.crossed)),
+        );
+        (result, exits)
+    }
+
+    #[test]
+    fn picture_schedule_stays_32_bytes() {
+        // The record is the smoother's whole output: one per picture, so
+        // its size sets the memory a long schedule writes (the paper-grid
+        // benchmark's peak RSS is almost entirely these records). Derived
+        // quantities (delay, the Theorem 1 bounds) are recomputed instead
+        // of stored; each 8-byte field added here costs another quarter.
+        assert_eq!(std::mem::size_of::<PictureSchedule>(), 32);
+    }
+
+    #[test]
+    fn recomputed_bounds_equal_the_loops_h0_bounds() {
+        // For K >= 1 the h = 0 step sees the exact S_i, so the bounds
+        // recomputed from (params, i, t_i, S_i) are the very values the
+        // rate was selected within, bit for bit.
+        let trace = toy_trace(180);
+        for (d, k, h) in [(0.1, 1, 9), (0.2, 1, 9), (0.3, 3, 18), (0.2, 1, 1)] {
+            let (r, exits) = run_exits(&trace, params(d, k, h));
+            for (p, &(_, lower0, upper0, _)) in r.schedule.iter().zip(&exits) {
+                let (lo, up) = theorem1_bounds(&r.params, p.index, p.start, trace.sizes[p.index]);
+                assert_eq!(
+                    (lo.to_bits(), up.to_bits()),
+                    (lower0, upper0),
+                    "picture {}",
+                    p.index
+                );
+            }
+        }
+    }
+
     #[test]
     fn selected_rates_respect_theorem1_bounds() {
         let trace = toy_trace(90);
         let r = smooth(&trace, params(0.2, 1, 9));
         for p in &r.schedule {
+            let (lower0, upper0) =
+                theorem1_bounds(&r.params, p.index, p.start, trace.sizes[p.index]);
             assert!(
-                p.rate >= p.lower0 - 1e-6 && p.rate <= p.upper0 + 1e-6,
+                p.rate >= lower0 - 1e-6 && p.rate <= upper0 + 1e-6,
                 "picture {}: rate {} outside [{}, {}]",
                 p.index,
                 p.rate,
-                p.lower0,
-                p.upper0
+                lower0,
+                upper0
             );
         }
     }
@@ -833,8 +910,9 @@ mod tests {
     #[test]
     fn h1_disables_lookahead() {
         let trace = toy_trace(90);
-        let r = smooth(&trace, params(0.2, 1, 1));
-        assert!(r.schedule.iter().all(|p| p.lookahead_used == 1));
+        let (r, exits) = run_exits(&trace, params(0.2, 1, 1));
+        assert_eq!(exits.len(), 90);
+        assert!(exits.iter().all(|&(h, ..)| h == 1));
         assert_eq!(r.delay_violations(), 0);
         assert!(r.continuous_service());
     }
@@ -842,17 +920,91 @@ mod tests {
     #[test]
     fn lookahead_capped_by_trace_end() {
         let trace = toy_trace(10);
-        let r = smooth(&trace, params(0.3, 1, 9));
-        let last = r.schedule.last().unwrap();
+        let (_, exits) = run_exits(&trace, params(0.3, 1, 9));
         assert_eq!(
-            last.lookahead_used, 1,
+            exits.last().unwrap().0,
+            1,
             "last picture can only examine itself"
         );
-        assert_eq!(
-            r.schedule[5].lookahead_used.min(5),
-            5,
-            "picture 5 sees 5 pictures"
-        );
+        assert_eq!(exits[5].0.min(5), 5, "picture 5 sees 5 pictures");
+    }
+
+    #[test]
+    fn exit_state_matches_reference_at_every_dispatch_level() {
+        // The blocked kernels must leave the loop exactly where the frozen
+        // scalar loop does: same h, same crossing, same h = 0 bounds (and
+        // so the same rate), for every kernel the CPU can run. Windows
+        // span 1..40 steps (sub-block tails and multi-block runs), start
+        // times reach past the eq. 12–13 denominators' zero (the +inf
+        // select), and sizes span three orders of magnitude so crossings
+        // fire often. The level is process-global, so other tests may run
+        // under a forced level meanwhile; every kernel gives the same
+        // bits, which is what this test checks.
+        use crate::reference::{decide_one_reference, reference_bounds};
+        use crate::simd::{available_levels, reset_active_level, set_active_level};
+        use smooth_rng::Rng;
+
+        struct Restore;
+        impl Drop for Restore {
+            fn drop(&mut self) {
+                reset_active_level();
+            }
+        }
+        let _restore = Restore;
+        let mut rng = Rng::seed_from_u64(20261018);
+        let mut lanes = BlockLanes::default();
+        for case in 0..4_000 {
+            let k = rng.below(4) as usize;
+            let p = SmootherParams::new_unchecked(
+                (k as f64 + 1.0) * TAU + rng.range_f64(0.0, 0.4),
+                k,
+                40,
+                TAU,
+            );
+            let i = rng.below(400) as usize;
+            let len = 1 + rng.below(40) as usize;
+            let sizes: Vec<f64> = (0..len)
+                .map(|_| (1_000 + rng.below(999_000)) as f64)
+                .collect();
+            let start = (i + k) as f64 * TAU + rng.range_f64(-0.05, 0.3);
+            let ctx = DecideCtx {
+                params: &p,
+                sizes_ahead: &sizes,
+                pattern_n: 9,
+                selection: if case % 2 == 0 {
+                    RateSelection::Basic
+                } else {
+                    RateSelection::MovingAverage
+                },
+                i,
+                start,
+                prev_rate: (case % 5 != 0).then(|| rng.range_f64(1e5, 5e6)),
+                size_i: sizes[0] as u64,
+                exact_prefix: case % 3 != 0,
+            };
+            let want = reference_bounds(&ctx);
+            let key = |e: &LoopExit| (e.h, e.st.lower0.to_bits(), e.st.upper0.to_bits(), e.crossed);
+            let (lo, up) = theorem1_bounds(&p, i, start, ctx.size_i);
+            assert_eq!(
+                (lo.to_bits(), up.to_bits()),
+                (want.st.lower0.to_bits(), want.st.upper0.to_bits()),
+                "case {case}: recomputed h = 0 bounds"
+            );
+            for level in available_levels() {
+                assert!(set_active_level(level));
+                let got = intersect_bounds(&ctx, &mut lanes);
+                assert_eq!(
+                    key(&got),
+                    key(&want),
+                    "case {case}: exit state at {level:?}"
+                );
+                assert_eq!(
+                    decide_one(&ctx, &mut lanes),
+                    decide_one_reference(&ctx),
+                    "case {case}: decision at {level:?}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -940,13 +1092,15 @@ mod tests {
         let p = params(0.15, 1, 9).with_rate_grid(100_000.0);
         let r = smooth(&trace, p);
         for pic in &r.schedule {
+            let (lower0, upper0) =
+                theorem1_bounds(&r.params, pic.index, pic.start, trace.sizes[pic.index]);
             assert!(
-                pic.rate >= pic.lower0 - 1e-6 && pic.rate <= pic.upper0 + 1e-6,
+                pic.rate >= lower0 - 1e-6 && pic.rate <= upper0 + 1e-6,
                 "picture {}: snapped rate {} outside [{}, {}]",
                 pic.index,
                 pic.rate,
-                pic.lower0,
-                pic.upper0
+                lower0,
+                upper0
             );
         }
     }

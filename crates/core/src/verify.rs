@@ -11,9 +11,10 @@
 //! [`check_theorem1`] audits a finished [`SmoothingResult`] against all
 //! of these, independently of the algorithm that produced it, so property
 //! tests can hammer the implementation and catch any drift from the
-//! theorem.
+//! theorem. The rate bounds it checks against are recomputed from the
+//! trace's sizes ([`theorem1_bounds`]), not taken from the smoother.
 
-use crate::smoother::{SmoothingResult, TIME_EPS};
+use crate::smoother::{theorem1_bounds, SmoothingResult, TIME_EPS};
 use serde::{Deserialize, Serialize};
 
 /// Outcome of auditing one run against Theorem 1.
@@ -53,11 +54,16 @@ pub fn theorem_applies(result: &SmoothingResult) -> bool {
     result.params.k >= 1 && result.params.is_feasible()
 }
 
-/// Audits a run against Theorem 1 (see module docs).
+/// Audits a run over a trace with picture sizes `sizes` (bits, display
+/// order) against Theorem 1 (see module docs).
 ///
 /// Relative tolerance: rates are compared with a `1e-9` relative margin,
 /// times with [`TIME_EPS`] — far finer than anything the figures resolve.
-pub fn check_theorem1(result: &SmoothingResult) -> Theorem1Report {
+///
+/// # Panics
+///
+/// If a scheduled picture's index is out of range of `sizes`.
+pub fn check_theorem1(result: &SmoothingResult, sizes: &[u64]) -> Theorem1Report {
     let p = &result.params;
     let tau = p.tau;
     let mut delay_violations = 0;
@@ -66,8 +72,9 @@ pub fn check_theorem1(result: &SmoothingResult) -> Theorem1Report {
     let mut max_delay = 0.0f64;
 
     for (idx, pic) in result.schedule.iter().enumerate() {
-        max_delay = max_delay.max(pic.delay);
-        if pic.delay > p.delay_bound + TIME_EPS {
+        let delay = pic.delay(tau);
+        max_delay = max_delay.max(delay);
+        if delay > p.delay_bound + TIME_EPS {
             delay_violations += 1;
         }
         // eq. (8): the *next* start time is bounded; audit via this
@@ -82,8 +89,9 @@ pub fn check_theorem1(result: &SmoothingResult) -> Theorem1Report {
         if pic.start > bound + TIME_EPS {
             start_bound_violations += 1;
         }
+        let (lower0, upper0) = theorem1_bounds(p, pic.index, pic.start, sizes[pic.index]);
         let tol = 1e-9 * pic.rate.max(1.0);
-        if pic.rate < pic.lower0 - tol || pic.rate > pic.upper0 + tol {
+        if pic.rate < lower0 - tol || pic.rate > upper0 + tol {
             rate_bound_violations += 1;
         }
     }
@@ -126,7 +134,7 @@ mod tests {
         let t = trace(90);
         for k in 1..=9 {
             let p = SmootherParams::constant_slack(k, 9, TAU);
-            let report = check_theorem1(&smooth(&t, p));
+            let report = check_theorem1(&smooth(&t, p), &t.sizes);
             assert!(report.holds(), "K={k}: {report:?}");
         }
     }
@@ -153,16 +161,32 @@ mod tests {
         }
         let t = VideoTrace::new("spiky", pattern, Resolution::VGA, 30.0, sizes).unwrap();
         let p = SmootherParams::new_unchecked(0.034, 0, 9, TAU);
-        let report = check_theorem1(&smooth(&t, p));
+        let report = check_theorem1(&smooth(&t, p), &t.sizes);
         assert!(!report.holds());
         assert!(report.delay_violations > 0);
+    }
+
+    #[test]
+    fn rate_outside_recomputed_bounds_is_caught() {
+        // The bounds come from the trace, not from the schedule: a rate
+        // moved outside [r_L(0), r_U(0)] after the fact is a hypothesis
+        // failure even though every other property still holds.
+        let t = trace(45);
+        let mut r = smooth(&t, SmootherParams::at_30fps(0.15, 1, 9).unwrap());
+        assert_eq!(check_theorem1(&r, &t.sizes).rate_bound_violations, 0);
+        let p = r.schedule[20];
+        let (lower0, _) = crate::theorem1_bounds(&r.params, p.index, p.start, t.sizes[p.index]);
+        r.schedule[20].rate = 0.5 * lower0;
+        let report = check_theorem1(&r, &t.sizes);
+        assert_eq!(report.rate_bound_violations, 1);
+        assert!(!report.holds());
     }
 
     #[test]
     fn report_counts_are_consistent() {
         let t = trace(45);
         let r = smooth(&t, SmootherParams::at_30fps(0.15, 1, 9).unwrap());
-        let report = check_theorem1(&r);
+        let report = check_theorem1(&r, &t.sizes);
         assert_eq!(report.pictures, 45);
         assert_eq!(report.delay_violations, r.delay_violations());
         assert_eq!(report.underflows, r.underflows());
@@ -181,6 +205,6 @@ mod tests {
             sizes: vec![],
         };
         let r = smooth(&t, SmootherParams::at_30fps(0.2, 1, 9).unwrap());
-        assert!(check_theorem1(&r).holds());
+        assert!(check_theorem1(&r, &t.sizes).holds());
     }
 }

@@ -107,7 +107,7 @@ proptest! {
         params in arb_params(),
     ) {
         let (live, _) = run_live(&trace, params);
-        let report = check_theorem1(&live);
+        let report = check_theorem1(&live, &trace.sizes);
         prop_assert!(report.holds(), "{:?}", report);
     }
 
@@ -212,6 +212,6 @@ fn hundred_thousand_pushes_bounded_memory() {
     assert_eq!(schedule, reference.schedule);
 
     let live = SmoothingResult { params, schedule };
-    let report = check_theorem1(&live);
+    let report = check_theorem1(&live, &trace.sizes);
     assert!(report.holds(), "{report:?}");
 }

@@ -2,15 +2,22 @@
 //! archiving smoothing runs (so an evaluation can be re-analyzed without
 //! re-running).
 
-use smooth_core::{RateSegment, SmoothingResult};
+use smooth_core::{theorem1_bounds, RateSegment, SmoothingResult};
 use std::fmt::Write as _;
 use std::path::Path;
 
 /// Renders a per-picture schedule as CSV
 /// (`index,start_s,rate_bps,depart_s,delay_s,lower0_bps,upper0_bps`).
-pub fn schedule_to_csv(result: &SmoothingResult) -> String {
+///
+/// `sizes` are the smoothed trace's picture sizes (bits, display order):
+/// the Theorem 1 bounds columns are recomputed from them with
+/// [`theorem1_bounds`], the delay column with [`PictureSchedule::delay`].
+///
+/// [`PictureSchedule::delay`]: smooth_core::PictureSchedule::delay
+pub fn schedule_to_csv(result: &SmoothingResult, sizes: &[u64]) -> String {
     let mut out = String::from("index,start_s,rate_bps,depart_s,delay_s,lower0_bps,upper0_bps\n");
     for p in &result.schedule {
+        let (lower0, upper0) = theorem1_bounds(&result.params, p.index, p.start, sizes[p.index]);
         let _ = writeln!(
             out,
             "{},{:.9},{:.3},{:.9},{:.9},{:.3},{}",
@@ -18,10 +25,10 @@ pub fn schedule_to_csv(result: &SmoothingResult) -> String {
             p.start,
             p.rate,
             p.depart,
-            p.delay,
-            p.lower0,
-            if p.upper0.is_finite() {
-                format!("{:.3}", p.upper0)
+            p.delay(result.params.tau),
+            lower0,
+            if upper0.is_finite() {
+                format!("{upper0:.3}")
             } else {
                 "inf".into()
             },
@@ -78,11 +85,15 @@ impl std::error::Error for LoadError {}
 mod tests {
     use super::*;
     use smooth_core::{smooth, SmootherParams};
-    use smooth_trace::driving1;
+    use smooth_trace::{driving1, generate, SequenceId, VideoTrace};
+
+    fn sample_trace() -> VideoTrace {
+        driving1().truncated(27)
+    }
 
     fn sample() -> SmoothingResult {
         smooth(
-            &driving1().truncated(27),
+            &sample_trace(),
             SmootherParams::at_30fps(0.2, 1, 9).unwrap(),
         )
     }
@@ -90,7 +101,7 @@ mod tests {
     #[test]
     fn schedule_csv_has_one_row_per_picture() {
         let r = sample();
-        let csv = schedule_to_csv(&r);
+        let csv = schedule_to_csv(&r, &sample_trace().sizes);
         let lines: Vec<&str> = csv.lines().collect();
         assert_eq!(lines.len(), 1 + 27);
         assert!(lines[0].starts_with("index,start_s"));
@@ -133,12 +144,46 @@ mod tests {
     }
 
     #[test]
+    fn json_with_derived_fields_still_loads() {
+        // Saved before the schedule record dropped its derived fields: every
+        // picture still carries `delay`, `lower0`, `upper0` (`null` when
+        // infinite) and `lookahead_used`. The loader ignores those keys and
+        // reads the decision `(index, start, rate, depart)` bit for bit.
+        // The run: `generate --sequence tennis --pictures 12 --seed 3`,
+        // smoothed at D = 0.15 s, K = 1 (H = N).
+        let path = concat!(
+            env!("CARGO_MANIFEST_DIR"),
+            "/tests/fixtures/result_with_derived_fields.json"
+        );
+        let text = std::fs::read_to_string(path).unwrap();
+        assert!(text.contains("\"lookahead_used\"") && text.contains("\"upper0\": null"));
+        let loaded = load_result_json(path).unwrap();
+        let trace = generate(SequenceId::Tennis, 12, 3);
+        let params = SmootherParams::at_30fps(0.15, 1, trace.pattern.n()).unwrap();
+        assert_eq!(loaded.params, params);
+        let bits = |r: &SmoothingResult| -> Vec<(usize, u64, u64, u64)> {
+            r.schedule
+                .iter()
+                .map(|p| {
+                    (
+                        p.index,
+                        p.start.to_bits(),
+                        p.rate.to_bits(),
+                        p.depart.to_bits(),
+                    )
+                })
+                .collect()
+        };
+        assert_eq!(bits(&loaded), bits(&smooth(&trace, params)));
+    }
+
+    #[test]
     fn infinite_upper_bound_serializes_as_inf() {
-        // The very first picture of a K=0 run can have upper0 = inf...
-        // easier: fabricate one.
+        // r_U(0) is infinite when service starts at or after (i+K+1)·τ;
+        // fabricate such a start for picture 0.
         let mut r = sample();
-        r.schedule[0].upper0 = f64::INFINITY;
-        let csv = schedule_to_csv(&r);
+        r.schedule[0].start = 1.0;
+        let csv = schedule_to_csv(&r, &sample_trace().sizes);
         assert!(csv.lines().nth(1).unwrap().ends_with(",inf"));
     }
 }

@@ -307,7 +307,7 @@ fn cmd_smooth(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
 
     let estimator = PatternEstimator::default();
     let result = smooth_with(&trace, params, &estimator, policy);
-    let report = check_theorem1(&result);
+    let report = check_theorem1(&result, &trace.sizes);
     let m = measure(&trace, &result);
 
     let _ = writeln!(
@@ -330,7 +330,7 @@ fn cmd_smooth(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
     );
 
     if let Some(p) = schedule_path {
-        std::fs::write(&p, schedule_to_csv(&result))
+        std::fs::write(&p, schedule_to_csv(&result, &trace.sizes))
             .map_err(|e| err(format!("writing {p}: {e}")))?;
         let _ = writeln!(out, "schedule -> {p}");
     }
@@ -1111,7 +1111,7 @@ fn cmd_verify(args: &[String], out: &mut dyn Write) -> Result<i32, CliError> {
 
     let estimator = PatternEstimator::default();
     let result = smooth_with(&trace, params, &estimator, RateSelection::Basic);
-    let report = check_theorem1(&result);
+    let report = check_theorem1(&result, &trace.sizes);
     let _ = writeln!(
         out,
         "Theorem 1 audit: {} pictures, max delay {:.4}s (bound {:.4}s)",

@@ -3,11 +3,11 @@
 //! The paper's evaluation (Figures 4–8, the multiplexing study, the
 //! parameter ablations) is a grid of *independent* smoothing runs:
 //! sequences × (D, K, H) × buffer sizes × source counts. This crate
-//! expresses "run [`smooth_with`] over a grid" as a parallel map with
-//! **deterministic, index-ordered result collection**: output is
-//! byte-identical to a serial run regardless of thread count or
-//! scheduling, because each job's result is placed by its input index and
-//! nothing about a job depends on execution order.
+//! expresses "run [`smooth_with`](smooth_core::smooth_with) over a grid"
+//! as a parallel map with **deterministic, index-ordered result
+//! collection**: output is byte-identical to a serial run regardless of
+//! thread count or scheduling, because each job's result is placed by its
+//! input index and nothing about a job depends on execution order.
 //!
 //! The executor is a scoped-thread work-stealing loop over
 //! [`std::thread::scope`] rather than `rayon`: this build environment is
@@ -33,7 +33,7 @@ use std::time::Instant;
 
 use smooth_core::estimate::SizeEstimator;
 use smooth_core::{
-    smooth_with, smooth_with_scratch, RateSelection, SmoothScratch, SmootherParams, SmoothingResult,
+    smooth_with_scratch, RateSelection, SmoothScratch, Smoother, SmootherParams, SmoothingResult,
 };
 use smooth_trace::VideoTrace;
 
@@ -207,21 +207,24 @@ pub struct SweepJob<'a> {
     pub params: SmootherParams,
 }
 
-/// Runs [`smooth_with`] over explicit (trace, params) jobs in parallel;
-/// results arrive in job order.
+/// Runs [`smooth_with`](smooth_core::smooth_with) over explicit (trace,
+/// params) jobs in parallel; results arrive in job order. Like
+/// [`smooth_batch`], each worker reuses one [`SmoothScratch`] across its
+/// jobs.
 pub fn smooth_jobs(
     threads: usize,
     jobs: &[SweepJob<'_>],
     estimator: &(dyn SizeEstimator + Sync),
     selection: RateSelection,
 ) -> Vec<SmoothingResult> {
-    par_map(threads, jobs, |_, job| {
-        smooth_with(job.trace, job.params, estimator, selection)
+    par_map_with(threads, jobs, SmoothScratch::new, |scratch, _, job| {
+        Smoother::new(job.trace, job.params, estimator, selection).run_with_scratch(scratch)
     })
 }
 
-/// Runs [`smooth_with`] over the full cross product `traces × params`,
-/// row-major (all parameter points of `traces[0]`, then `traces[1]`, ...).
+/// Runs [`smooth_with`](smooth_core::smooth_with) over the full cross
+/// product `traces × params`, row-major (all parameter points of
+/// `traces[0]`, then `traces[1]`, ...).
 pub fn smooth_grid(
     threads: usize,
     traces: &[&VideoTrace],

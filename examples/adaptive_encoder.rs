@@ -24,7 +24,7 @@ fn main() {
 
     let params = SmootherParams::at_30fps(0.2, 1, 9).expect("feasible");
     let aware = smooth_adaptive(&video, params, RateSelection::Basic);
-    let report = check_theorem1(&aware);
+    let report = check_theorem1(&aware, &video.sizes);
     assert!(report.holds(), "Theorem 1 is pattern-agnostic");
 
     // The naive alternative: pretend the pattern is a constant (2, 6).

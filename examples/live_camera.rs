@@ -35,7 +35,7 @@ fn main() {
                     d.index,
                     video.type_of(d.index).to_string(),
                     d.rate / 1e6,
-                    d.delay * 1e3
+                    d.delay(params.tau) * 1e3
                 );
                 last_rate = d.rate;
             }
@@ -46,7 +46,10 @@ fn main() {
     decisions.extend(smoother.finish());
 
     assert_eq!(decisions.len(), video.len());
-    let max_delay = decisions.iter().map(|d| d.delay).fold(0.0f64, f64::max);
+    let max_delay = decisions
+        .iter()
+        .map(|d| d.delay(params.tau))
+        .fold(0.0f64, f64::max);
     let changes = decisions
         .windows(2)
         .filter(|w| w[1].rate != w[0].rate)

@@ -36,7 +36,7 @@ fn main() {
     let result = smooth(&video, params);
 
     // Theorem 1, audited independently of the algorithm:
-    let report = check_theorem1(&result);
+    let report = check_theorem1(&result, &video.sizes);
     assert!(report.holds(), "Theorem 1 must hold for K >= 1");
     println!(
         "smoothing: D = {:.3} s, K = {}, H = {} -> max delay {:.4} s, {} delay violations",

@@ -153,7 +153,7 @@ fn recommended_params_work_everywhere() {
     for video in paper_sequences() {
         let params = SmootherParams::recommended(video.pattern.n());
         let result = smooth(&video, params);
-        let report = check_theorem1(&result);
+        let report = check_theorem1(&result, &video.sizes);
         assert!(report.holds(), "{}: {report:?}", video.name);
         // And produce a genuinely smooth output: SD under a third of the
         // mean rate.

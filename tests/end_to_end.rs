@@ -46,7 +46,7 @@ fn full_pipeline_driving1() {
     let result = smooth(&video, params);
 
     // 6. Audit Theorem 1 on the real (bitstream-measured) sizes.
-    let report = check_theorem1(&result);
+    let report = check_theorem1(&result, &video.sizes);
     assert!(report.holds(), "{report:?}");
 
     // 7. Metrics: the smoothed peak must sit far below the unsmoothed one.
@@ -97,7 +97,11 @@ fn full_pipeline_all_sequences_smoke() {
         .expect("valid");
         let params = SmootherParams::recommended(video.pattern.n());
         let result = smooth(&video, params);
-        assert!(check_theorem1(&result).holds(), "{}", video.name);
+        assert!(
+            check_theorem1(&result, &video.sizes).holds(),
+            "{}",
+            video.name
+        );
     }
 }
 
@@ -120,6 +124,9 @@ fn streaming_transport_over_bitstream_arrivals() {
     }
     schedule.extend(online.finish());
     assert_eq!(schedule.len(), sizes.len());
-    let max_delay = schedule.iter().map(|p| p.delay).fold(0.0f64, f64::max);
+    let max_delay = schedule
+        .iter()
+        .map(|p| p.delay(params.tau))
+        .fold(0.0f64, f64::max);
     assert!(max_delay <= params.delay_bound + 1e-9);
 }

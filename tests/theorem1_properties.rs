@@ -76,7 +76,7 @@ proptest! {
     #[test]
     fn theorem1_holds_for_all_feasible_configs(trace in arb_trace(), params in arb_params()) {
         let result = smooth(&trace, params);
-        let report = check_theorem1(&result);
+        let report = check_theorem1(&result, &trace.sizes);
         prop_assert!(report.holds(), "violation: {report:?} (params {params:?})");
     }
 
@@ -86,7 +86,7 @@ proptest! {
     fn theorem1_holds_for_moving_average(trace in arb_trace(), params in arb_params()) {
         let est = PatternEstimator::default();
         let result = smooth_with(&trace, params, &est, RateSelection::MovingAverage);
-        let report = check_theorem1(&result);
+        let report = check_theorem1(&result, &trace.sizes);
         prop_assert!(report.holds(), "violation: {report:?}");
     }
 
@@ -96,7 +96,7 @@ proptest! {
     fn theorem1_immune_to_estimation_error(trace in arb_trace(), params in arb_params()) {
         let est = TypeDefaultEstimator::default();
         let result = smooth_with(&trace, params, &est, RateSelection::Basic);
-        let report = check_theorem1(&result);
+        let report = check_theorem1(&result, &trace.sizes);
         prop_assert!(report.holds(), "violation: {report:?}");
     }
 
