@@ -1,7 +1,7 @@
 //! One function per paper figure/table: each regenerates the series the
 //! paper plots and returns it as [`Table`]s (printed by the `experiments`
-//! binary, persisted as CSV under `results/`, and timed by the Criterion
-//! benches).
+//! binary, persisted as CSV under `results/`, and timed into
+//! `BENCH_sweep.json`).
 //!
 //! The per-experiment index in DESIGN.md §4 maps each function here to
 //! the paper figure it reproduces; EXPERIMENTS.md records the

@@ -745,12 +745,11 @@ impl SessionEngine {
     /// Like [`add_sessions`](Self::add_sessions), but constructs the new
     /// shards **in parallel with first-touch placement**: worker `w`
     /// (pinned to logical CPU `w`, best-effort) allocates and fills
-    /// shards `w, w + threads, …` of the new range — the same static
-    /// shard→thread striping [`run_pinned`](Self::run_pinned) uses — so
-    /// each shard's memory is first touched by the thread that will
-    /// advance it (on NUMA machines, in that thread's local node).
-    /// Shard contents are a pure function of the session ids, so the
-    /// resulting engine is indistinguishable from one built by
+    /// shards `w, w + threads, …` of the new range, so each shard's
+    /// memory is first touched by a worker thread rather than all of it
+    /// by the caller (on NUMA machines, spread over the workers' local
+    /// nodes). Shard contents are a pure function of the session ids, so
+    /// the resulting engine is indistinguishable from one built by
     /// [`add_sessions`](Self::add_sessions) (pinned by tests).
     ///
     /// # Panics
@@ -1013,39 +1012,6 @@ impl SessionEngine {
         Ok(mux.finalize())
     }
 
-    /// [`run`](Self::run) with **static shard→thread striping and
-    /// pinned workers** ([`smooth_sweep::par_map_pinned`]): worker `w`
-    /// advances shards `w, w + threads, …`, so across repeated calls
-    /// with the same `threads` every shard stays with one thread — and,
-    /// when the shards were built by
-    /// [`add_sessions_placed`](Self::add_sessions_placed) at the same
-    /// worker count, with the thread that first touched its memory.
-    /// Bit-identical to [`run`](Self::run) for any thread count (shards
-    /// are disjoint; only placement differs) — pinned by tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics after [`finish`](Self::finish).
-    pub fn run_pinned<S: SizeSource>(
-        &mut self,
-        source: &S,
-        ticks: u64,
-        finish: bool,
-        threads: usize,
-    ) -> u64 {
-        assert!(!self.ended, "tick after finish");
-        let classes = &self.classes;
-        let shards = &self.shards;
-        let idx: Vec<usize> = (0..shards.len()).collect();
-        let made = par_map_pinned(threads, &idx, |_, &s| {
-            let mut shard = shards[s].lock().expect("shard poisoned");
-            shard.advance_batch(classes, source, ticks, finish)
-        });
-        self.ticks += ticks;
-        self.ended = finish;
-        made.into_iter().sum()
-    }
-
     /// Serial [`tick`](Self::tick) that also hands every decision to
     /// `sink(session_id, schedule)` — the adapter path (see [`mux`]).
     pub fn tick_serial_with<S: SizeSource>(
@@ -1262,7 +1228,7 @@ mod tests {
     }
 
     #[test]
-    fn placed_build_and_pinned_run_match_serial() {
+    fn placed_build_matches_serial_tick_loop() {
         let (mut a, fleet) = small_engine(16);
         for _ in 0..33 {
             a.tick(&fleet, 1);
@@ -1274,7 +1240,7 @@ mod tests {
             let mut b = SessionEngine::with_shard_size(vec![class.clone()], 16);
             b.add_sessions_placed(0, 50, threads);
             assert_eq!(b.session_count(), 50);
-            b.run_pinned(&fleet, 33, true, threads);
+            b.run(&fleet, 33, true, threads);
             assert_eq!(a.digest(), b.digest(), "threads={threads}");
             assert_eq!(a.session_digests(), b.session_digests());
             assert_eq!(a.decisions(), b.decisions());

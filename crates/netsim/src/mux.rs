@@ -80,8 +80,8 @@ impl FluidMux {
 /// breakpoint of every input into one sorted cut vector, then walk the
 /// intervals re-sampling **all** inputs per interval — O(S²·B·log B).
 /// Nothing in this module is called by production code paths; the
-/// `sweep_props` proptests and the `mux_throughput` benchmark pin
-/// [`crate::sweep::RateSweep`] against it.
+/// `sweep_props` proptests and the repository benchmark's `paper_grid`
+/// gate pin [`crate::sweep::RateSweep`] against it.
 ///
 /// Two conventions are shared with the streaming engine so that "equal"
 /// can mean *bit-identical* rather than within-tolerance (f64 addition is

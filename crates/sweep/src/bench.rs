@@ -1,12 +1,12 @@
 //! Wall-clock recording for sweep runs: the `BENCH_sweep.json` report.
 //!
 //! The experiments binary times each figure's generation and serializes a
-//! [`SweepBenchReport`] so perf regressions across commits are diffable:
-//! thread count **with its provenance** (flag/env/cores — so the report
-//! can never silently contradict `available_cores`), per-figure wall
-//! seconds with serial baselines, hot-path throughput records
-//! (pictures/sec on a synthetic trace), and the git commit the numbers
-//! belong to.
+//! [`SweepBenchReport`] so per-figure wall times stay diffable across
+//! commits: thread count **with its provenance** (flag/env/cores — so the
+//! report can never silently contradict `available_cores`), per-figure
+//! wall seconds with serial baselines, and the git commit the numbers
+//! belong to. End-to-end and per-layer performance lives in the
+//! repository benchmark (`linkbench/`), not here.
 
 use std::path::Path;
 use std::process::Command;
@@ -15,26 +15,6 @@ use std::time::Instant;
 use serde::{Deserialize, Serialize};
 
 use crate::ThreadSource;
-
-/// Min / median / spread (max − min) of a repeated wall-time sample.
-/// The min is the noise-robust point estimate the records headline;
-/// median and spread expose how noisy the box was. Empty samples give
-/// `(0, 0, 0)`.
-pub fn wall_stats(walls: &[f64]) -> (f64, f64, f64) {
-    if walls.is_empty() {
-        return (0.0, 0.0, 0.0);
-    }
-    let mut sorted = walls.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("wall times are finite"));
-    let min = sorted[0];
-    let max = sorted[sorted.len() - 1];
-    let median = if sorted.len() % 2 == 1 {
-        sorted[sorted.len() / 2]
-    } else {
-        0.5 * (sorted[sorted.len() / 2 - 1] + sorted[sorted.len() / 2])
-    };
-    (min, median, max - min)
-}
 
 /// Timing for one named unit of sweep work (usually a figure).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -61,481 +41,6 @@ impl FigureTiming {
     }
 }
 
-/// One hot-path throughput measurement: how many pictures per second a
-/// named configuration schedules.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ThroughputRecord {
-    /// Configuration label, e.g. `hotpath_synthetic_1M_H32_engine`.
-    pub name: String,
-    /// Pictures scheduled.
-    pub pictures: u64,
-    /// Wall-clock seconds (min over repeats).
-    pub wall_seconds: f64,
-    /// Median wall seconds over the repeats (`None` on legacy records
-    /// and single-shot measurements).
-    #[serde(default)]
-    pub wall_seconds_median: Option<f64>,
-    /// Max − min wall seconds over the repeats.
-    #[serde(default)]
-    pub wall_seconds_spread: Option<f64>,
-    /// `pictures / wall_seconds`.
-    pub pictures_per_sec: f64,
-    /// Worker threads the measurement used (1 = serial hot path).
-    pub threads: usize,
-    /// Commit the record was measured at — stamped by
-    /// [`SweepBenchReport::record_throughput`], part of the dedup key.
-    #[serde(default)]
-    pub git_commit: Option<String>,
-}
-
-impl ThroughputRecord {
-    /// Builds a record from raw counts, deriving the rate.
-    pub fn new(name: &str, pictures: u64, wall_seconds: f64, threads: usize) -> Self {
-        ThroughputRecord {
-            name: name.to_string(),
-            pictures,
-            wall_seconds,
-            wall_seconds_median: None,
-            wall_seconds_spread: None,
-            pictures_per_sec: if wall_seconds > 0.0 {
-                pictures as f64 / wall_seconds
-            } else {
-                0.0
-            },
-            threads,
-            git_commit: None,
-        }
-    }
-
-    /// Builds a record from the full repeat sample, headlining the min
-    /// and carrying median/spread.
-    pub fn with_walls(name: &str, pictures: u64, walls: &[f64], threads: usize) -> Self {
-        let (min, median, spread) = wall_stats(walls);
-        let mut rec = Self::new(name, pictures, min, threads);
-        rec.wall_seconds_median = Some(median);
-        rec.wall_seconds_spread = Some(spread);
-        rec
-    }
-}
-
-/// One multiplexer-throughput measurement: how fast a named source
-/// ensemble sweeps through the mux layer, and how the streaming engine
-/// compares to the frozen quadratic `mux::reference` when the latter was
-/// cheap enough to time.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct MuxThroughputRecord {
-    /// Configuration label, e.g. `mux_synthetic_S1000`.
-    pub name: String,
-    /// Sources feeding the multiplexer.
-    pub sources: usize,
-    /// Total rate-function breakpoints processed (the sweep's `T`).
-    pub events: u64,
-    /// Streaming-engine wall seconds (min over repeats).
-    pub wall_seconds: f64,
-    /// Median wall seconds over the repeats (`None` on legacy records).
-    #[serde(default)]
-    pub wall_seconds_median: Option<f64>,
-    /// Max − min wall seconds over the repeats.
-    #[serde(default)]
-    pub wall_seconds_spread: Option<f64>,
-    /// `events / wall_seconds`.
-    pub events_per_sec: f64,
-    /// Frozen `mux::reference` wall seconds (min over repeats), when the
-    /// quadratic oracle was affordable at this scale.
-    #[serde(default)]
-    pub reference_seconds: Option<f64>,
-    /// `reference_seconds / wall_seconds`, when both were measured.
-    #[serde(default)]
-    pub speedup: Option<f64>,
-    /// Worker threads the engine measurement used.
-    pub threads: usize,
-    /// Commit the record was measured at — stamped by
-    /// [`SweepBenchReport::record_mux_throughput`], part of the dedup
-    /// key.
-    #[serde(default)]
-    pub git_commit: Option<String>,
-}
-
-impl MuxThroughputRecord {
-    /// Builds a record from raw measurements, deriving the rates.
-    pub fn new(
-        name: &str,
-        sources: usize,
-        events: u64,
-        wall_seconds: f64,
-        reference_seconds: Option<f64>,
-        threads: usize,
-    ) -> Self {
-        MuxThroughputRecord {
-            name: name.to_string(),
-            sources,
-            events,
-            wall_seconds,
-            wall_seconds_median: None,
-            wall_seconds_spread: None,
-            events_per_sec: if wall_seconds > 0.0 {
-                events as f64 / wall_seconds
-            } else {
-                0.0
-            },
-            reference_seconds,
-            speedup: reference_seconds.map(|r| {
-                if wall_seconds > 0.0 {
-                    r / wall_seconds
-                } else {
-                    0.0
-                }
-            }),
-            threads,
-            git_commit: None,
-        }
-    }
-
-    /// Builds a record from the full engine repeat sample, headlining
-    /// the min and carrying median/spread.
-    pub fn with_walls(
-        name: &str,
-        sources: usize,
-        events: u64,
-        walls: &[f64],
-        reference_seconds: Option<f64>,
-        threads: usize,
-    ) -> Self {
-        let (min, median, spread) = wall_stats(walls);
-        let mut rec = Self::new(name, sources, events, min, reference_seconds, threads);
-        rec.wall_seconds_median = Some(median);
-        rec.wall_seconds_spread = Some(spread);
-        rec
-    }
-}
-
-/// One session-engine throughput measurement: how many aggregate
-/// picture decisions per second a fleet of concurrent live sessions
-/// sustains through lockstep ticks.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct SessionThroughputRecord {
-    /// Configuration label, e.g. `sessions_synthetic_S1000000`.
-    pub name: String,
-    /// Concurrent sessions in the fleet.
-    pub sessions: usize,
-    /// Lockstep ticks (pictures fed per session).
-    pub ticks: u64,
-    /// Total picture decisions made across the fleet.
-    pub decisions: u64,
-    /// Wall-clock seconds (min over repeats).
-    pub wall_seconds: f64,
-    /// Median wall seconds over the repeats (`None` on legacy records).
-    #[serde(default)]
-    pub wall_seconds_median: Option<f64>,
-    /// Max − min wall seconds over the repeats.
-    #[serde(default)]
-    pub wall_seconds_spread: Option<f64>,
-    /// `decisions / wall_seconds`.
-    pub decisions_per_second: f64,
-    /// Worker threads the measurement used (1 = serial).
-    pub threads: usize,
-    /// Commit the record was measured at — stamped by
-    /// [`SweepBenchReport::record_session_throughput`], part of the
-    /// dedup key.
-    #[serde(default)]
-    pub git_commit: Option<String>,
-}
-
-impl SessionThroughputRecord {
-    /// Builds a record from raw counts, deriving the rate.
-    pub fn new(
-        name: &str,
-        sessions: usize,
-        ticks: u64,
-        decisions: u64,
-        wall_seconds: f64,
-        threads: usize,
-    ) -> Self {
-        SessionThroughputRecord {
-            name: name.to_string(),
-            sessions,
-            ticks,
-            decisions,
-            wall_seconds,
-            wall_seconds_median: None,
-            wall_seconds_spread: None,
-            decisions_per_second: if wall_seconds > 0.0 {
-                decisions as f64 / wall_seconds
-            } else {
-                0.0
-            },
-            threads,
-            git_commit: None,
-        }
-    }
-
-    /// Builds a record from the full repeat sample, headlining the min
-    /// and carrying median/spread.
-    pub fn with_walls(
-        name: &str,
-        sessions: usize,
-        ticks: u64,
-        decisions: u64,
-        walls: &[f64],
-        threads: usize,
-    ) -> Self {
-        let (min, median, spread) = wall_stats(walls);
-        let mut rec = Self::new(name, sessions, ticks, decisions, min, threads);
-        rec.wall_seconds_median = Some(median);
-        rec.wall_seconds_spread = Some(spread);
-        rec
-    }
-}
-
-/// One event-driven churn-throughput measurement: the [`DynamicEngine`]
-/// replaying a seeded arrival/departure trace over a heterogeneous
-/// fps mix, timed end to end (ramp + churn + decisions). Lives in the
-/// `churn_throughput[]` array of `BENCH_sweep.json` and shares the
-/// report-level provenance fields (`git_commit`, `thread_source`,
-/// `available_cores`, `physical_cores`).
-///
-/// [`DynamicEngine`]: https://docs.rs/smooth-engine
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ChurnThroughputRecord {
-    /// Configuration label, e.g. `churn_synthetic_S1000000`.
-    pub name: String,
-    /// Initial fleet size (sessions live after the ramp second).
-    pub sessions: usize,
-    /// Churn intensity in parts-per-million of the initial fleet per
-    /// simulated second (10_000 = 1 %/s).
-    pub churn_ppm_per_sec: u64,
-    /// Sessions that ever joined (initial fleet + churn arrivals).
-    pub joined: u64,
-    /// Simulated scheduler ticks replayed (horizon of the trace).
-    pub ticks: u64,
-    /// Total picture decisions made across the fleet.
-    pub decisions: u64,
-    /// Wall-clock seconds (min over repeats).
-    pub wall_seconds: f64,
-    /// Median wall seconds over the repeats.
-    #[serde(default)]
-    pub wall_seconds_median: Option<f64>,
-    /// Max − min wall seconds over the repeats.
-    #[serde(default)]
-    pub wall_seconds_spread: Option<f64>,
-    /// `decisions / wall_seconds`.
-    pub decisions_per_second: f64,
-    /// Worker threads the measurement used (1 = serial).
-    pub threads: usize,
-    /// Commit the record was measured at — stamped by
-    /// [`SweepBenchReport::record_churn_throughput`], part of the
-    /// dedup key.
-    #[serde(default)]
-    pub git_commit: Option<String>,
-}
-
-impl ChurnThroughputRecord {
-    /// Builds a record from the full repeat sample, headlining the min
-    /// and carrying median/spread.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_walls(
-        name: &str,
-        sessions: usize,
-        churn_ppm_per_sec: u64,
-        joined: u64,
-        ticks: u64,
-        decisions: u64,
-        walls: &[f64],
-        threads: usize,
-    ) -> Self {
-        let (min, median, spread) = wall_stats(walls);
-        ChurnThroughputRecord {
-            name: name.to_string(),
-            sessions,
-            churn_ppm_per_sec,
-            joined,
-            ticks,
-            decisions,
-            wall_seconds: min,
-            wall_seconds_median: Some(median),
-            wall_seconds_spread: Some(spread),
-            decisions_per_second: if min > 0.0 {
-                decisions as f64 / min
-            } else {
-                0.0
-            },
-            threads,
-            git_commit: None,
-        }
-    }
-}
-
-/// One fused fleet-to-link measurement: the session engine streaming
-/// its decisions straight into the online link aggregator (`LiveMux`),
-/// against the offline baseline that runs the engine, materializes every
-/// schedule, and sweeps them through the multiplexer afterwards. Lives
-/// in the `fleet_mux_throughput[]` array of `BENCH_sweep.json`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FleetMuxThroughputRecord {
-    /// Configuration label, e.g. `fleet_mux_synthetic_S1000000`.
-    pub name: String,
-    /// Concurrent sessions in the fleet.
-    pub sessions: usize,
-    /// Lockstep ticks (pictures fed per session).
-    pub ticks: u64,
-    /// Total picture decisions made across the fleet.
-    pub decisions: u64,
-    /// Fused-path wall seconds (min over repeats): engine run plus
-    /// online aggregation, end to end.
-    pub wall_seconds: f64,
-    /// Median wall seconds over the repeats.
-    #[serde(default)]
-    pub wall_seconds_median: Option<f64>,
-    /// Max − min wall seconds over the repeats.
-    #[serde(default)]
-    pub wall_seconds_spread: Option<f64>,
-    /// `decisions / wall_seconds`.
-    pub decisions_per_second: f64,
-    /// Offline-baseline wall seconds (min over repeats): run the engine
-    /// for the fleet product, then `mux_sessions` (which must replay a
-    /// fresh engine through its cursor layer) for the link aggregate —
-    /// the pre-fusion end-to-end cost of obtaining both.
-    #[serde(default)]
-    pub offline_seconds: Option<f64>,
-    /// `offline_seconds / wall_seconds` — end-to-end speedup.
-    #[serde(default)]
-    pub speedup: Option<f64>,
-    /// Bare engine run wall seconds (min over repeats), no aggregation:
-    /// the decision work both paths share — the Amdahl floor of the
-    /// end-to-end speedup on a given thread count.
-    #[serde(default)]
-    pub engine_seconds: Option<f64>,
-    /// Speedup of the aggregation pass alone:
-    /// `(offline − engine) / (wall − engine)` — the second pass the
-    /// fused path replaces versus the fused overhead over the bare
-    /// engine run.
-    #[serde(default)]
-    pub mux_pass_speedup: Option<f64>,
-    /// Worker threads the measurement used (1 = serial).
-    pub threads: usize,
-    /// Commit the record was measured at — stamped by
-    /// [`SweepBenchReport::record_fleet_mux_throughput`], part of the
-    /// dedup key.
-    #[serde(default)]
-    pub git_commit: Option<String>,
-}
-
-impl FleetMuxThroughputRecord {
-    /// Builds a record from the full fused repeat sample, headlining the
-    /// min and deriving the end-to-end and aggregation-pass speedups
-    /// over the offline baseline.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_walls(
-        name: &str,
-        sessions: usize,
-        ticks: u64,
-        decisions: u64,
-        walls: &[f64],
-        offline_seconds: Option<f64>,
-        engine_seconds: Option<f64>,
-        threads: usize,
-    ) -> Self {
-        let (min, median, spread) = wall_stats(walls);
-        let mux_pass_speedup = match (offline_seconds, engine_seconds) {
-            (Some(o), Some(e)) if min > e && o > e => Some((o - e) / (min - e)),
-            _ => None,
-        };
-        FleetMuxThroughputRecord {
-            name: name.to_string(),
-            sessions,
-            ticks,
-            decisions,
-            wall_seconds: min,
-            wall_seconds_median: Some(median),
-            wall_seconds_spread: Some(spread),
-            decisions_per_second: if min > 0.0 {
-                decisions as f64 / min
-            } else {
-                0.0
-            },
-            offline_seconds,
-            speedup: offline_seconds.map(|o| if min > 0.0 { o / min } else { 0.0 }),
-            engine_seconds,
-            mux_pass_speedup,
-            threads,
-            git_commit: None,
-        }
-    }
-}
-
-/// One point of the cores-vs-throughput scaling curve: the 1M-session
-/// engine run at a fixed worker count with cache-aware placement
-/// (static shard→thread striping, per-worker first-touch construction,
-/// best-effort pinning). The `scaling[]` array of `BENCH_sweep.json`
-/// holds the whole curve; on a 1-core box it is legitimately one point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ScalingRecord {
-    /// Configuration label, e.g. `scale_synthetic_S1000000` (the worker
-    /// count lives in `threads`, part of the dedup key).
-    pub name: String,
-    /// Concurrent sessions in the fleet.
-    pub sessions: usize,
-    /// Lockstep ticks (pictures fed per session).
-    pub ticks: u64,
-    /// Total picture decisions made across the fleet.
-    pub decisions: u64,
-    /// Worker threads (the curve's x axis).
-    pub threads: usize,
-    /// Wall-clock seconds (min over repeats).
-    pub wall_seconds: f64,
-    /// Median wall seconds over the repeats.
-    #[serde(default)]
-    pub wall_seconds_median: Option<f64>,
-    /// Max − min wall seconds over the repeats.
-    #[serde(default)]
-    pub wall_seconds_spread: Option<f64>,
-    /// `decisions / wall_seconds` (the curve's y axis).
-    pub decisions_per_second: f64,
-    /// Whether shard→thread pinning actually took effect.
-    pub pinned: bool,
-    /// Whether shards were first-touch-constructed by their own worker.
-    pub first_touch: bool,
-    /// Commit the point was measured at — stamped by
-    /// [`SweepBenchReport::record_scaling`], part of the dedup key.
-    #[serde(default)]
-    pub git_commit: Option<String>,
-}
-
-impl ScalingRecord {
-    /// Builds a point from the full repeat sample, headlining the min.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_walls(
-        name: &str,
-        sessions: usize,
-        ticks: u64,
-        decisions: u64,
-        walls: &[f64],
-        threads: usize,
-        pinned: bool,
-        first_touch: bool,
-    ) -> Self {
-        let (min, median, spread) = wall_stats(walls);
-        ScalingRecord {
-            name: name.to_string(),
-            sessions,
-            ticks,
-            decisions,
-            threads,
-            wall_seconds: min,
-            wall_seconds_median: Some(median),
-            wall_seconds_spread: Some(spread),
-            decisions_per_second: if min > 0.0 {
-                decisions as f64 / min
-            } else {
-                0.0
-            },
-            pinned,
-            first_touch,
-            git_commit: None,
-        }
-    }
-}
-
 /// The on-disk `BENCH_sweep.json` document.
 ///
 /// Fields added after the first release carry `#[serde(default)]` so old
@@ -550,60 +55,15 @@ pub struct SweepBenchReport {
     /// Cores the machine reported at run time
     /// ([`std::thread::available_parallelism`] — logical CPUs).
     pub available_cores: usize,
-    /// Physical cores (unique `(package, core)` pairs from
-    /// `/proc/cpuinfo`); equals `logical_cores` when SMT is off or the
-    /// topology is unreadable. 0 on legacy reports.
-    #[serde(default)]
-    pub physical_cores: usize,
-    /// Logical CPUs, recorded explicitly next to `physical_cores` so a
-    /// curve measured across SMT siblings cannot masquerade as one
-    /// measured across real cores. 0 on legacy reports.
-    #[serde(default)]
-    pub logical_cores: usize,
-    /// Whether shard→thread pinning (`sched_setaffinity`) was available
-    /// to the timed runs.
-    #[serde(default)]
-    pub pinned: bool,
     /// Commit the numbers were measured at (`git rev-parse HEAD`), empty
     /// when git was unavailable.
     #[serde(default)]
     pub git_commit: String,
     pub figures: Vec<FigureTiming>,
-    /// Hot-path throughput measurements (see [`ThroughputRecord`]).
-    #[serde(default)]
-    pub throughput: Vec<ThroughputRecord>,
-    /// Multiplexer-sweep throughput measurements (see
-    /// [`MuxThroughputRecord`]); shares the report-level provenance
-    /// fields (`git_commit`, `thread_source`, `available_cores`).
-    #[serde(default)]
-    pub mux_throughput: Vec<MuxThroughputRecord>,
-    /// Session-engine throughput measurements (see
-    /// [`SessionThroughputRecord`]); shares the report-level provenance
-    /// fields.
-    #[serde(default)]
-    pub session_throughput: Vec<SessionThroughputRecord>,
-    /// Event-driven churn throughput measurements (see
-    /// [`ChurnThroughputRecord`]); shares the report-level provenance
-    /// fields.
-    #[serde(default)]
-    pub churn_throughput: Vec<ChurnThroughputRecord>,
-    /// Fused fleet-to-link throughput measurements (see
-    /// [`FleetMuxThroughputRecord`]); shares the report-level provenance
-    /// fields.
-    #[serde(default)]
-    pub fleet_mux_throughput: Vec<FleetMuxThroughputRecord>,
-    /// Cores-vs-throughput scaling curve (see [`ScalingRecord`]); one
-    /// point per measured worker count.
-    #[serde(default)]
-    pub scaling: Vec<ScalingRecord>,
     pub total_seconds: f64,
 }
 
 impl SweepBenchReport {
-    pub fn new(threads: usize) -> Self {
-        Self::with_thread_source(threads, ThreadSource::Flag)
-    }
-
     /// Creates a report recording both the worker count and how it was
     /// chosen, plus the current git commit when resolvable.
     pub fn with_thread_source(threads: usize, source: ThreadSource) -> Self {
@@ -611,96 +71,10 @@ impl SweepBenchReport {
             threads,
             thread_source: source.as_str().to_string(),
             available_cores: crate::place::logical_cores(),
-            physical_cores: crate::place::physical_cores(),
-            logical_cores: crate::place::logical_cores(),
-            pinned: crate::place::pinning_supported(),
             git_commit: current_git_commit().unwrap_or_default(),
             figures: Vec::new(),
-            throughput: Vec::new(),
-            mux_throughput: Vec::new(),
-            session_throughput: Vec::new(),
-            churn_throughput: Vec::new(),
-            fleet_mux_throughput: Vec::new(),
-            scaling: Vec::new(),
             total_seconds: 0.0,
         }
-    }
-
-    /// The commit stamp new records carry: the report's commit, `None`
-    /// when git was unavailable.
-    fn record_commit(&self) -> Option<String> {
-        if self.git_commit.is_empty() {
-            None
-        } else {
-            Some(self.git_commit.clone())
-        }
-    }
-
-    /// Appends a throughput measurement, replacing any existing record
-    /// with the same `(name, git_commit, threads)` — repeated local runs
-    /// refresh their numbers instead of growing the file without bound.
-    pub fn record_throughput(&mut self, mut record: ThroughputRecord) {
-        record.git_commit = self.record_commit();
-        self.throughput.retain(|r| {
-            (&r.name, &r.git_commit, r.threads)
-                != (&record.name, &record.git_commit, record.threads)
-        });
-        self.throughput.push(record);
-    }
-
-    /// Appends a multiplexer-throughput measurement, deduplicating by
-    /// `(name, git_commit, threads)`.
-    pub fn record_mux_throughput(&mut self, mut record: MuxThroughputRecord) {
-        record.git_commit = self.record_commit();
-        self.mux_throughput.retain(|r| {
-            (&r.name, &r.git_commit, r.threads)
-                != (&record.name, &record.git_commit, record.threads)
-        });
-        self.mux_throughput.push(record);
-    }
-
-    /// Appends a session-engine throughput measurement, deduplicating by
-    /// `(name, git_commit, threads)`.
-    pub fn record_session_throughput(&mut self, mut record: SessionThroughputRecord) {
-        record.git_commit = self.record_commit();
-        self.session_throughput.retain(|r| {
-            (&r.name, &r.git_commit, r.threads)
-                != (&record.name, &record.git_commit, record.threads)
-        });
-        self.session_throughput.push(record);
-    }
-
-    /// Appends a churn-throughput measurement, deduplicating by
-    /// `(name, git_commit, threads)`.
-    pub fn record_churn_throughput(&mut self, mut record: ChurnThroughputRecord) {
-        record.git_commit = self.record_commit();
-        self.churn_throughput.retain(|r| {
-            (&r.name, &r.git_commit, r.threads)
-                != (&record.name, &record.git_commit, record.threads)
-        });
-        self.churn_throughput.push(record);
-    }
-
-    /// Appends a fused fleet-to-link throughput measurement,
-    /// deduplicating by `(name, git_commit, threads)`.
-    pub fn record_fleet_mux_throughput(&mut self, mut record: FleetMuxThroughputRecord) {
-        record.git_commit = self.record_commit();
-        self.fleet_mux_throughput.retain(|r| {
-            (&r.name, &r.git_commit, r.threads)
-                != (&record.name, &record.git_commit, record.threads)
-        });
-        self.fleet_mux_throughput.push(record);
-    }
-
-    /// Appends a scaling-curve point, deduplicating by
-    /// `(name, git_commit, threads)`.
-    pub fn record_scaling(&mut self, mut record: ScalingRecord) {
-        record.git_commit = self.record_commit();
-        self.scaling.retain(|r| {
-            (&r.name, &r.git_commit, r.threads)
-                != (&record.name, &record.git_commit, record.threads)
-        });
-        self.scaling.push(record);
     }
 
     /// Times `f`, records it under `name`, and returns its output.
@@ -731,17 +105,11 @@ impl SweepBenchReport {
     pub fn save(&self, path: &Path) -> std::io::Result<()> {
         std::fs::write(path, self.to_json())
     }
-
-    pub fn load(path: &Path) -> std::io::Result<Self> {
-        let text = std::fs::read_to_string(path)?;
-        serde_json::from_str(&text)
-            .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))
-    }
 }
 
 /// `git rev-parse HEAD` of the working directory, if git is present and
 /// this is a repository.
-pub fn current_git_commit() -> Option<String> {
+fn current_git_commit() -> Option<String> {
     let out = Command::new("git")
         .args(["rev-parse", "HEAD"])
         .output()
@@ -768,23 +136,6 @@ mod tests {
         assert_eq!(x, 42);
         report.time("fig8", || ());
         report.set_serial_baseline("fig7", 2.0);
-        report.record_throughput(ThroughputRecord::new("hotpath", 1_000_000, 0.5, 1));
-        report.record_mux_throughput(MuxThroughputRecord::new(
-            "mux_synthetic_S1000",
-            1000,
-            64_000,
-            0.004,
-            Some(1.2),
-            1,
-        ));
-        report.record_session_throughput(SessionThroughputRecord::new(
-            "sessions_synthetic_S1000000",
-            1_000_000,
-            32,
-            32_000_000,
-            4.0,
-            1,
-        ));
         assert_eq!(report.figures.len(), 2);
         assert!(report.total_seconds >= 0.0);
         assert_eq!(report.thread_source, "env");
@@ -794,31 +145,11 @@ mod tests {
         assert_eq!(back, report);
         assert!(back.figures[0].serial_seconds.is_some());
         assert!(back.figures[1].serial_seconds.is_none());
-        assert_eq!(back.throughput.len(), 1);
-        assert!((back.throughput[0].pictures_per_sec - 2_000_000.0).abs() < 1e-6);
-        assert_eq!(back.mux_throughput.len(), 1);
-        let mux = &back.mux_throughput[0];
-        assert_eq!(mux.sources, 1000);
-        assert!((mux.events_per_sec - 16_000_000.0).abs() < 1e-3);
-        assert!((mux.speedup.unwrap() - 300.0).abs() < 1e-9);
-        assert_eq!(back.session_throughput.len(), 1);
-        let sess = &back.session_throughput[0];
-        assert_eq!(sess.sessions, 1_000_000);
-        assert!((sess.decisions_per_second - 8_000_000.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn mux_record_without_reference_has_no_speedup() {
-        let r = MuxThroughputRecord::new("mux_synthetic_S10000", 10_000, 640_000, 0.05, None, 1);
-        assert_eq!(r.reference_seconds, None);
-        assert_eq!(r.speedup, None);
-        assert!((r.events_per_sec - 12_800_000.0).abs() < 1e-3);
     }
 
     #[test]
     fn old_reports_without_new_fields_still_load() {
-        // The pre-PR on-disk schema: no thread_source, git_commit, or
-        // throughput keys.
+        // The first on-disk schema: no thread_source or git_commit keys.
         let legacy = r#"{
             "threads": 2,
             "available_cores": 1,
@@ -831,155 +162,15 @@ mod tests {
         assert_eq!(report.threads, 2);
         assert_eq!(report.thread_source, "");
         assert_eq!(report.git_commit, "");
-        assert!(report.throughput.is_empty());
-        assert!(report.mux_throughput.is_empty());
-        assert!(report.session_throughput.is_empty());
-        assert!(report.fleet_mux_throughput.is_empty());
-        assert!(report.scaling.is_empty());
-        assert_eq!(report.physical_cores, 0);
-        assert_eq!(report.logical_cores, 0);
-        assert!(!report.pinned);
-    }
-
-    #[test]
-    fn wall_stats_reports_min_median_spread() {
-        assert_eq!(wall_stats(&[]), (0.0, 0.0, 0.0));
-        assert_eq!(wall_stats(&[2.0]), (2.0, 2.0, 0.0));
-        let (min, median, spread) = wall_stats(&[3.0, 1.0, 2.0, 5.0, 4.0]);
-        assert_eq!((min, median, spread), (1.0, 3.0, 4.0));
-        let (min, median, spread) = wall_stats(&[4.0, 1.0, 3.0, 2.0]);
-        assert_eq!((min, median, spread), (1.0, 2.5, 3.0));
-    }
-
-    #[test]
-    fn with_walls_carries_the_sample_summary() {
-        let r = ThroughputRecord::with_walls("t", 100, &[0.5, 0.25, 1.0], 1);
-        assert_eq!(r.wall_seconds, 0.25);
-        assert_eq!(r.wall_seconds_median, Some(0.5));
-        assert_eq!(r.wall_seconds_spread, Some(0.75));
-        assert!((r.pictures_per_sec - 400.0).abs() < 1e-9);
-        let s = SessionThroughputRecord::with_walls("s", 10, 4, 40, &[2.0, 4.0], 1);
-        assert_eq!(s.wall_seconds, 2.0);
-        assert_eq!(s.wall_seconds_median, Some(3.0));
-        let m = MuxThroughputRecord::with_walls("m", 3, 30, &[0.1, 0.3], None, 1);
-        assert_eq!(m.wall_seconds_median, Some(0.2));
-        let p = ScalingRecord::with_walls("p", 10, 4, 40, &[1.0, 3.0], 2, true, true);
-        assert_eq!(p.wall_seconds, 1.0);
-        assert_eq!(p.threads, 2);
-        assert!((p.decisions_per_second - 40.0).abs() < 1e-9);
-        assert!(p.pinned && p.first_touch);
-    }
-
-    #[test]
-    fn record_append_dedups_by_name_commit_and_threads() {
-        let mut report = SweepBenchReport::with_thread_source(1, ThreadSource::Cores);
-        report.record_session_throughput(SessionThroughputRecord::new("a", 10, 4, 40, 2.0, 1));
-        report.record_session_throughput(SessionThroughputRecord::new("a", 10, 4, 40, 1.0, 1));
-        assert_eq!(report.session_throughput.len(), 1, "same key replaces");
-        assert_eq!(report.session_throughput[0].wall_seconds, 1.0);
-        report.record_session_throughput(SessionThroughputRecord::new("a", 10, 4, 40, 1.0, 2));
-        assert_eq!(
-            report.session_throughput.len(),
-            2,
-            "new thread count appends"
-        );
-        // A record measured at a different commit never collides.
-        let mut foreign = SessionThroughputRecord::new("a", 10, 4, 40, 3.0, 1);
-        foreign.git_commit = Some("older".into());
-        report.session_throughput.push(foreign);
-        report.record_session_throughput(SessionThroughputRecord::new("a", 10, 4, 40, 0.5, 1));
-        assert_eq!(report.session_throughput.len(), 3);
-
-        report.record_scaling(ScalingRecord::with_walls(
-            "sc",
-            10,
-            4,
-            40,
-            &[1.0],
-            1,
-            false,
-            true,
-        ));
-        report.record_scaling(ScalingRecord::with_walls(
-            "sc",
-            10,
-            4,
-            40,
-            &[2.0],
-            1,
-            false,
-            true,
-        ));
-        assert_eq!(report.scaling.len(), 1);
-        assert_eq!(report.scaling[0].wall_seconds, 2.0);
-        report.record_throughput(ThroughputRecord::new("t", 5, 1.0, 1));
-        report.record_throughput(ThroughputRecord::new("t", 5, 2.0, 1));
-        assert_eq!(report.throughput.len(), 1);
-        report.record_mux_throughput(MuxThroughputRecord::new("m", 2, 10, 1.0, None, 1));
-        report.record_mux_throughput(MuxThroughputRecord::new("m", 2, 10, 2.0, None, 1));
-        assert_eq!(report.mux_throughput.len(), 1);
-        report.record_fleet_mux_throughput(FleetMuxThroughputRecord::with_walls(
-            "fm",
-            10,
-            4,
-            40,
-            &[1.0],
-            None,
-            None,
-            1,
-        ));
-        report.record_fleet_mux_throughput(FleetMuxThroughputRecord::with_walls(
-            "fm",
-            10,
-            4,
-            40,
-            &[2.0],
-            None,
-            None,
-            1,
-        ));
-        assert_eq!(report.fleet_mux_throughput.len(), 1);
-        assert_eq!(report.fleet_mux_throughput[0].wall_seconds, 2.0);
-    }
-
-    #[test]
-    fn fleet_mux_record_derives_rate_and_speedups() {
-        let r = FleetMuxThroughputRecord::with_walls(
-            "fleet_mux_synthetic_S1000000",
-            1_000_000,
-            32,
-            32_000_000,
-            &[4.0, 5.0, 6.0],
-            Some(48.0),
-            Some(3.0),
-            1,
-        );
-        assert_eq!(r.wall_seconds, 4.0);
-        assert_eq!(r.wall_seconds_median, Some(5.0));
-        assert_eq!(r.wall_seconds_spread, Some(2.0));
-        assert!((r.decisions_per_second - 8_000_000.0).abs() < 1e-3);
-        assert!((r.speedup.unwrap() - 12.0).abs() < 1e-9);
-        // Aggregation pass: (48 − 3) / (4 − 3) = 45×.
-        assert!((r.mux_pass_speedup.unwrap() - 45.0).abs() < 1e-9);
-        let no_base = FleetMuxThroughputRecord::with_walls("fm", 10, 4, 40, &[1.0], None, None, 1);
-        assert_eq!(no_base.offline_seconds, None);
-        assert_eq!(no_base.speedup, None);
-        assert_eq!(no_base.mux_pass_speedup, None);
+        assert_eq!(report.figures[0].speedup(), Some(2.0));
     }
 
     #[test]
     fn provenance_records_core_topology() {
         let report = SweepBenchReport::with_thread_source(1, ThreadSource::Cores);
-        assert!(report.logical_cores >= 1);
-        assert!(report.physical_cores >= 1);
-        assert!(report.physical_cores <= report.logical_cores);
-        assert_eq!(report.available_cores, report.logical_cores);
-    }
-
-    #[test]
-    fn zero_wall_seconds_gives_zero_rate() {
-        let r = ThroughputRecord::new("degenerate", 10, 0.0, 1);
-        assert_eq!(r.pictures_per_sec, 0.0);
+        assert!(report.available_cores >= 1);
+        assert_eq!(report.available_cores, crate::place::logical_cores());
+        assert_eq!(report.thread_source, "cores");
     }
 
     #[test]
